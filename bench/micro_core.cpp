@@ -161,7 +161,7 @@ void BM_MetricBatchedTicks(benchmark::State& state) {
   }
   const double tick = 0.5;
   for (auto _ : state) {
-    metrics::MetricBatch batch(view, 0);
+    metrics::MetricBatch batch(view);
     for (const auto* f : filters)
       batch.add(metrics::MetricKind::ExecTime, *f, 0.0);
     for (double t = tick; t < trace.duration; t += tick) batch.advance_all(t);
@@ -472,20 +472,6 @@ void BM_FullDiagnosisStringFoci(benchmark::State& state) {
 }
 BENCHMARK(BM_FullDiagnosisStringFoci);
 
-void BM_FullDiagnosisSpeculative(benchmark::State& state) {
-  // Same search with the speculative parallel evaluator (arg = requested
-  // search threads; workers = arg - 1). Conclusions are bit-identical to
-  // BM_FullDiagnosis; the delta is pure evaluation offload.
-  const auto& view = shared_view();
-  pc::PcConfig config;
-  config.search_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    pc::PerformanceConsultant consultant(view, config);
-    benchmark::DoNotOptimize(consultant.run());
-  }
-}
-BENCHMARK(BM_FullDiagnosisSpeculative)->Arg(2)->Arg(4);
-
 void BM_WildcardFarmSimulation(benchmark::State& state) {
   apps::AppParams p;
   p.target_duration = 200.0;
@@ -721,62 +707,6 @@ void write_bench_metrics(bool quick) {
     pv["speedup_vs_sequential"] =
         variants_par_s > 0 ? variants_seq_s / variants_par_s : 0.0;
     out["parallel_variants"] = std::move(pv);
-  }
-
-  // Speculative parallel search: the full consultant over a table1-scale
-  // poisson-C trace (long run, deep code hierarchy — the evaluation-bound
-  // regime speculation targets), serial oracle vs the speculative
-  // evaluator on four threads (three workers). The conclusion stream is
-  // bit-identical by construction (tested in speculation_test), so the
-  // only deltas are wall time and the speculation bookkeeping recorded
-  // alongside. On a single-core host the offload cannot win;
-  // hardware_concurrency is recorded so the validator conditions the
-  // no-slower assertion on it.
-  double spec_serial_s = 0.0, spec_parallel_s = 0.0, spec_hit_rate = 0.0;
-  {
-    apps::AppParams sp;
-    sp.target_duration = 3000.0;
-    sp.node_base = 9;
-    const simmpi::ExecutionTrace strace = apps::run_app("poisson_c", sp);
-    const metrics::TraceView sview(strace);
-    pc::PcConfig serial_cfg;
-    serial_cfg.search_threads = 1;
-    pc::PcConfig spec_cfg = serial_cfg;
-    spec_cfg.search_threads = 4;
-    const int repeats = quick ? 1 : 5;
-    spec_serial_s = spec_parallel_s = std::numeric_limits<double>::infinity();
-    pc::TelemetrySummary spec_tel;
-    for (int r = 0; r < repeats; ++r) {
-      const auto start = Clock::now();
-      pc::PerformanceConsultant c(sview, serial_cfg);
-      benchmark::DoNotOptimize(c.run());
-      spec_serial_s = std::min(spec_serial_s, seconds_since(start));
-    }
-    for (int r = 0; r < repeats; ++r) {
-      const auto start = Clock::now();
-      pc::PerformanceConsultant c(sview, spec_cfg);
-      const pc::DiagnosisResult res = c.run();
-      spec_parallel_s = std::min(spec_parallel_s, seconds_since(start));
-      spec_tel = res.telemetry;
-    }
-    reg.add_seconds("bench.spec_search_serial", spec_serial_s);
-    reg.add_seconds("bench.spec_search_parallel", spec_parallel_s);
-    spec_hit_rate = spec_tel.spec_hit_rate;
-
-    util::Json ss = util::Json::object();
-    ss["threads"] = static_cast<double>(spec_cfg.search_threads);
-    ss["hardware_concurrency"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-    ss["serial_seconds"] = spec_serial_s;
-    ss["parallel_seconds"] = spec_parallel_s;
-    ss["speedup_vs_serial"] =
-        spec_parallel_s > 0 ? spec_serial_s / spec_parallel_s : 0.0;
-    ss["spec_launched"] = static_cast<double>(spec_tel.spec_launched);
-    ss["spec_hits"] = static_cast<double>(spec_tel.spec_hits);
-    ss["spec_discarded"] = static_cast<double>(spec_tel.spec_discarded);
-    ss["spec_hit_rate"] = spec_tel.spec_hit_rate;
-    ss["spec_wasted_seconds"] = spec_tel.spec_wasted_seconds;
-    out["speculative_search"] = std::move(ss);
   }
 
   // Block-max engine on the large phase-clustered trace: the sync+func
@@ -1086,8 +1016,6 @@ void write_bench_metrics(bool quick) {
               "directive lookup %.0f ns indexed / %.0f ns scan (%.1fx @ %d directives), "
               "focus ops %.0f ns string / %.0f ns interned (%.1fx), "
               "variants %.3f s sequential / %.3f s on %d workers, "
-              "speculative search %.3f s serial / %.3f s on 4 threads "
-              "(%.0f%% hit rate), "
               "trace snapshot %.2f ms simulate / %.2f ms warm load (%.0fx), "
               "table1 workload %.3f s\n",
               bench::kBenchMetricsPath, indexed_ns, scan_ns,
@@ -1098,8 +1026,7 @@ void write_bench_metrics(bool quick) {
               dir_indexed_ns > 0 ? dir_scan_ns / dir_indexed_ns : 0.0, n_directives,
               intern_string_ns, intern_id_ns,
               intern_id_ns > 0 ? intern_string_ns / intern_id_ns : 0.0, variants_seq_s,
-              variants_par_s, variants_threads, spec_serial_s, spec_parallel_s,
-              spec_hit_rate * 100.0, snapshot_simulate_ns / 1e6,
+              variants_par_s, variants_threads, snapshot_simulate_ns / 1e6,
               snapshot_load_ns / 1e6,
               snapshot_load_ns > 0 ? snapshot_simulate_ns / snapshot_load_ns : 0.0,
               table1_s);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build the release and asan-ubsan presets and run
-# the test suite under both. The sanitizer run exercises the threaded
-# metric-evaluation path (MetricEngineProperty.ThreadedBatchMatchesSequential)
-# under ASan/UBSan, catching data races' memory effects and UB in the index.
+# the test suite under both. The sanitizer run catches out-of-bounds reads
+# and UB in the trace decoders, the interval and block indexes, and the
+# concurrent paths (variant runner, serve workers) that share one TraceView;
+# the golden diagnoses must match in both builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -67,18 +67,6 @@ int cmd_apps(const Args&, std::ostream& out) {
   return 0;
 }
 
-/// The --search-threads option shared by run/diagnose-trace/variants:
-/// 0 = hardware_concurrency, 1 (default) = serial, N >= 2 = speculative
-/// search with N-1 workers. Strict full-token integer parsing (Args),
-/// negatives rejected here.
-int parse_search_threads(const Args& args) {
-  const int threads = args.option_or("search-threads", 1);
-  if (threads < 0)
-    throw ArgsError("option --search-threads expects a non-negative integer "
-                    "(0 = all hardware threads)");
-  return threads;
-}
-
 /// The --trace-format option, defaulting to jsonl.
 telemetry::TraceFormat parse_trace_format(const Args& args) {
   const std::string name = args.option_or("trace-format", std::string("jsonl"));
@@ -177,7 +165,6 @@ int cmd_run(const Args& args, std::ostream& out) {
   config.threshold_override = args.option_or("threshold", -1.0);
   config.cost_limit = args.option_or("cost-limit", config.cost_limit);
   config.respect_discovery_times = args.has_flag("discovery");
-  config.search_threads = parse_search_threads(args);
 
   pc::DirectiveSet directives;
   if (auto file = args.option("directives")) directives = pc::DirectiveSet::load(*file);
@@ -254,7 +241,6 @@ int cmd_variants(const Args& args, std::ostream& out) {
   pc::PcConfig config;
   config.threshold_override = args.option_or("threshold", -1.0);
   if (args.has_flag("string-foci")) config.interned_foci = false;
-  config.search_threads = parse_search_threads(args);
 
   auto session_ptr = make_session(args, config, 1500.0);
   core::DiagnosisSession& session = *session_ptr;
@@ -582,7 +568,6 @@ int cmd_diagnose_trace(const Args& args, std::ostream& out) {
   telemetry::VectorSink event_sink;
   pc::PcConfig config;
   if (trace_path) config.trace_sink = &event_sink;
-  config.search_threads = parse_search_threads(args);
 
   core::DiagnosisSession session(simmpi::load_trace(path), config);
   const pc::DiagnosisResult result = session.diagnose(directives);
@@ -852,12 +837,11 @@ const Command kCommands[] = {
      cmd_run,
      {"duration", "node-base", "threshold", "cost-limit", "directives", "store", "version",
       "scenario", "save-trace", "dot", "workload", "trace", "trace-format", "trace-cache",
-      "perf-log", "search-threads"},
+      "perf-log"},
      {"shg", "extended", "postmortem", "discovery", "no-trace-cache"}},
     {"variants",
      cmd_variants,
-     {"duration", "node-base", "workload", "threads", "threshold", "version", "trace-cache",
-      "search-threads"},
+     {"duration", "node-base", "workload", "threads", "threshold", "version", "trace-cache"},
      {"string-foci", "no-trace-cache"}},
     {"list", cmd_list, {"store", "app", "version", "machine", "scenario"}, {}},
     {"migrate", cmd_migrate, {"store", "jobs"}, {}},
@@ -882,7 +866,7 @@ const Command kCommands[] = {
     {"diff", cmd_diff, {"store"}, {}},
     {"diagnose-trace",
      cmd_diagnose_trace,
-     {"directives", "trace", "trace-format", "search-threads"},
+     {"directives", "trace", "trace-format"},
      {"shg"}},
     {"trace-report", cmd_trace_report, {}, {}},
     {"perf-report", cmd_perf_report, {"log", "store", "app"}, {"json"}},
@@ -929,10 +913,6 @@ std::string usage() {
         "run/variants cache simulated traces as binary snapshots (default\n"
         "directory .histpc/trace-cache); --trace-cache DIR relocates the\n"
         "cache and --no-trace-cache simulates from scratch.\n"
-        "run/diagnose-trace/variants take --search-threads N to enable the\n"
-        "speculative parallel search (N-1 workers pre-evaluate likely\n"
-        "refinement candidates; 0 = all hardware threads, default 1 =\n"
-        "serial). Conclusions are bit-identical for every N.\n"
         "run --store DIR also appends this run's telemetry (timers with\n"
         "p50/p90/p99 lap histograms) as a PerfRecord under DIR/perf-log/;\n"
         "--perf-log FILE redirects it. perf-report/perf-diff read those logs\n"

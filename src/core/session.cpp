@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <chrono>
 #include <optional>
 
 #include "simmpi/simulator.h"
@@ -59,18 +60,22 @@ DiagnosisSession::DiagnosisSession(simmpi::ExecutionTrace trace, pc::PcConfig co
 
 pc::DiagnosisResult DiagnosisSession::diagnose(const pc::DirectiveSet& directives) {
   pc::PerformanceConsultant consultant(*view_, config_, directives);
-  pc::DiagnosisResult result;
-  {
-    telemetry::ScopedTimer timer(registry_, "session.diagnose");
-    result = consultant.run();
-  }
+  const auto start = std::chrono::steady_clock::now();
+  pc::DiagnosisResult result = consultant.run();
+  const double lap =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  registry_.add_seconds("session.diagnose", lap);
   last_shg_ = consultant.shg().render();
+  // phase_seconds stays per diagnosis: the consultant filled the pc.*
+  // entries from its own registry; add the session's one-time construction
+  // timers and this call's lap, never the registry's running totals.
+  for (const auto& [name, stat] : registry_.timers())
+    if (name.starts_with("session.")) result.telemetry.phase_seconds[name] = stat.seconds;
+  result.telemetry.phase_seconds["session.diagnose"] = lap;
   // Fold the consultant's registry (pc.* counters/timers and their lap
   // histograms) into the session's, so registry() — and any PerfRecord
   // made from it — covers the whole run, not just the session phases.
   registry_.merge_from(consultant.tracer().registry());
-  for (const auto& [name, stat] : registry_.timers())
-    result.telemetry.phase_seconds[name] = stat.seconds;
   return result;
 }
 
@@ -96,7 +101,6 @@ telemetry::PerfRecord DiagnosisSession::make_perf_record(const std::string& vers
   rec.config["cost_limit"] = std::to_string(config_.cost_limit);
   rec.config["batched_eval"] = config_.batched_eval ? "1" : "0";
   rec.config["interned_foci"] = config_.interned_foci ? "1" : "0";
-  rec.config["search_threads"] = std::to_string(config_.search_threads);
   rec.config["trace_cache"] = config_.trace_cache_dir.empty() ? "0" : "1";
   rec.registry = registry_;
   return rec;

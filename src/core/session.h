@@ -60,10 +60,11 @@ class DiagnosisSession {
   /// "session.view_build", "session.diagnose" timers — plus, when the
   /// trace cache is enabled (PcConfig::trace_cache_dir), "session.record"
   /// and "session.trace_load" timers and the `trace_cache.*` counters.
-  /// diagnose() merges the timers into the result's phase_seconds, and
-  /// folds the consultant's own registry (pc.* counters and timers, with
-  /// their lap histograms) in here, so after a diagnosis this registry is
-  /// the complete performance picture of the run.
+  /// diagnose() folds the consultant's own registry (pc.* counters and
+  /// timers, with their lap histograms) in here, so after a diagnosis this
+  /// registry is the complete performance picture of the run, summed over
+  /// every diagnosis. The result's phase_seconds covers only that one
+  /// diagnosis plus the session's construction timers.
   const telemetry::Registry& registry() const { return registry_; }
 
   /// Build a storable experiment record from a diagnosis of this session.

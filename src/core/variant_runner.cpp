@@ -32,10 +32,6 @@ pc::TelemetrySummary combine_telemetry(const std::vector<VariantOutcome>& outcom
     combined.prune_hits_pair += t.prune_hits_pair;
     combined.priority_seeds += t.priority_seeds;
     combined.cost_gate_engagements += t.cost_gate_engagements;
-    combined.spec_launched += t.spec_launched;
-    combined.spec_hits += t.spec_hits;
-    combined.spec_discarded += t.spec_discarded;
-    combined.spec_wasted_seconds += t.spec_wasted_seconds;
     combined.peak_cost = std::max(combined.peak_cost, t.peak_cost);
     const double weight = o.result.stats.end_time;
     weighted_cost += t.avg_cost * weight;
@@ -43,11 +39,6 @@ pc::TelemetrySummary combine_telemetry(const std::vector<VariantOutcome>& outcom
     for (const auto& [name, secs] : t.phase_seconds) combined.phase_seconds[name] += secs;
   }
   combined.avg_cost = total_weight > 0.0 ? weighted_cost / total_weight : 0.0;
-  combined.spec_hit_rate =
-      combined.spec_launched > 0
-          ? static_cast<double>(combined.spec_hits) /
-                static_cast<double>(combined.spec_launched)
-          : 0.0;
   return combined;
 }
 

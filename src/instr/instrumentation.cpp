@@ -1,7 +1,6 @@
 #include "instr/instrumentation.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "metrics/metric.h"
@@ -10,19 +9,18 @@ namespace histpc::instr {
 
 InstrumentationManager::InstrumentationManager(const metrics::TraceView& view,
                                                CostModel cost_model, double insertion_latency,
-                                               double perturbation_factor, EvalConfig eval,
+                                               double perturbation_factor, bool batched,
                                                telemetry::Tracer* tracer)
     : view_(view),
       cost_model_(cost_model),
       insertion_latency_(insertion_latency),
       perturbation_factor_(perturbation_factor),
-      eval_(eval),
       tracer_(tracer) {
   if (insertion_latency < 0) throw std::invalid_argument("negative insertion latency");
   if (perturbation_factor < 0) throw std::invalid_argument("negative perturbation factor");
-  if (eval_.batched)
+  if (batched)
     batch_ = std::make_unique<metrics::MetricBatch>(
-        view_, eval_.threads, tracer_ ? &tracer_->registry() : nullptr);
+        view_, tracer_ ? &tracer_->registry() : nullptr);
 }
 
 ProbeId InstrumentationManager::insert(metrics::MetricKind metric,
@@ -42,41 +40,6 @@ ProbeId InstrumentationManager::insert(metrics::MetricKind metric,
                                                     : std::string());
 }
 
-ProbeId InstrumentationManager::insert_speculated(metrics::MetricKind metric,
-                                                  resources::FocusId focus, double now,
-                                                  metrics::SpecHandle handle) {
-  const metrics::FocusFilter& filter = view_.compiled(focus);
-  Probe p;
-  p.metric = metric;
-  p.selected_ranks = filter.num_selected_ranks;
-  p.cost = cost_model_.probe_cost(view_, focus, metric);
-  p.spec = std::move(handle);
-  p.start = now + insertion_latency_;
-  p.active = true;
-  p.focus_name = tracer_ && tracer_->tracing() ? view_.foci().name(focus) : std::string();
-  probes_.push_back(std::move(p));
-  total_cost_ += probes_.back().cost;
-  peak_cost_ = std::max(peak_cost_, total_cost_);
-  ++total_inserted_;
-  ++num_active_;
-  last_time_ = std::max(last_time_, now);
-  if (tracer_) {
-    tracer_->registry().add("instr.inserts");
-    tracer_->registry().gauge_max("instr.peak_cost", peak_cost_);
-    if (tracer_->tracing()) {
-      telemetry::Event e;
-      e.kind = telemetry::EventKind::ProbeInsert;
-      e.t = now;
-      e.focus = probes_.back().focus_name;
-      e.value = probes_.back().cost;
-      e.cost = total_cost_;
-      e.detail = metrics::metric_name(metric);
-      tracer_->emit(std::move(e));
-    }
-  }
-  return static_cast<ProbeId>(probes_.size() - 1);
-}
-
 ProbeId InstrumentationManager::insert_probe(metrics::MetricKind metric,
                                              const metrics::FocusFilter& filter,
                                              double cost, double now,
@@ -85,8 +48,7 @@ ProbeId InstrumentationManager::insert_probe(metrics::MetricKind metric,
   p.metric = metric;
   p.selected_ranks = filter.num_selected_ranks;
   p.cost = cost;
-  p.start = now + insertion_latency_;
-  if (eval_.batched) {
+  if (batch_) {
     p.slot = batch_->add(metric, filter, now + insertion_latency_);
   } else {
     p.instance.emplace(view_, metric, filter, now + insertion_latency_);
@@ -158,32 +120,7 @@ void InstrumentationManager::advance(double now) {
 ProbeSample InstrumentationManager::read(ProbeId id) const {
   const Probe& p = probes_.at(static_cast<std::size_t>(id));
   ProbeSample s;
-  if (p.spec) {
-    if (last_time_ >= p.spec.group->conclude_time()) {
-      // The wave's conclusion tick: the decision loop consumes this
-      // probe's verdict now. The worker has had the whole
-      // activation-to-conclusion window to finish; block only if it is
-      // somehow still in flight, and account the stall.
-      if (tracer_ && !p.spec.group->ready()) {
-        const auto wait_start = std::chrono::steady_clock::now();
-        (void)p.spec.group->wait_sample(p.spec.index);
-        tracer_->registry().add_seconds(
-            "pc.spec.wait", std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - wait_start)
-                                .count());
-      }
-      const metrics::SpecSample& ss = p.spec.group->wait_sample(p.spec.index);
-      s.value = ss.value;
-      s.observed = ss.observed;
-      s.fraction = ss.fraction;
-    } else {
-      // Pre-conclusion reads: the loop only tests the observed-window
-      // length (and never concludes before the predicted tick, by the
-      // shared tick arithmetic), so value/fraction are never consumed
-      // here. observed matches MetricBatch::observed bit for bit.
-      s.observed = std::max(0.0, last_time_ - p.start);
-    }
-  } else if (batch_) {
+  if (batch_) {
     s.value = batch_->value(p.slot);
     s.observed = batch_->observed(p.slot);
     s.fraction = batch_->fraction(p.slot);

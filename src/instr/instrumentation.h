@@ -22,7 +22,6 @@
 #include "instr/cost_model.h"
 #include "metrics/metric_batch.h"
 #include "metrics/metric_instance.h"
-#include "metrics/spec_eval.h"
 #include "telemetry/tracer.h"
 
 namespace histpc::instr {
@@ -37,16 +36,6 @@ struct ProbeSample {
   int selected_ranks = 0;
 };
 
-/// Metric-evaluation engine selection (PcConfig carries one of these).
-struct EvalConfig {
-  /// Batched engine (one interval pass fanned out to all probes) vs the
-  /// reference per-instance scan. Values are bit-identical.
-  bool batched = true;
-  /// > 1 enables rank-parallel batched evaluation with that many worker
-  /// threads (sequential when <= 1 or when the scan engine is selected).
-  int threads = 0;
-};
-
 class InstrumentationManager {
  public:
   /// `perturbation_factor` models the measurement error instrumentation
@@ -54,12 +43,14 @@ class InstrumentationManager {
   /// read high by factor * (current total cost). Zero (the default) gives
   /// ideal measurements; the cost ceiling exists precisely to keep this
   /// term small on a real machine.
-  /// `tracer`, when given, receives probe_insert/probe_remove events and
-  /// instrumentation counters; the batched engine reports its per-tick
-  /// evaluation volume into the same registry. Null = no telemetry.
+  /// `batched` selects the batched engine (one interval pass fanned out to
+  /// all probes) over the reference per-instance scan; values are
+  /// bit-identical. `tracer`, when given, receives probe_insert/probe_remove
+  /// events and instrumentation counters; the batched engine reports its
+  /// per-tick evaluation volume into the same registry. Null = no telemetry.
   InstrumentationManager(const metrics::TraceView& view, CostModel cost_model,
                          double insertion_latency, double perturbation_factor = 0.0,
-                         EvalConfig eval = {}, telemetry::Tracer* tracer = nullptr);
+                         bool batched = true, telemetry::Tracer* tracer = nullptr);
 
   /// Request insertion of a probe for (metric : focus) at time `now`. Data
   /// collection begins at now + insertion latency.
@@ -68,18 +59,6 @@ class InstrumentationManager {
   /// Id twin: the focus is an id in the view's FocusTable. No focus-name
   /// string is built unless event tracing is on.
   ProbeId insert(metrics::MetricKind metric, resources::FocusId focus, double now);
-
-  /// Insert a probe whose verdict was speculatively precomputed: the probe
-  /// carries full cost (the application would have paid it) but is backed
-  /// by the handle's SpecSample instead of a live engine slot. read()
-  /// before the group's conclusion tick reports only the observed-window
-  /// length (the decision loop never consumes value/fraction of an
-  /// unconcluded probe); at the conclusion tick it returns the
-  /// precomputed sample — bit-identical to what a live slot would have
-  /// produced — blocking on the worker only if the evaluation is somehow
-  /// still in flight.
-  ProbeId insert_speculated(metrics::MetricKind metric, resources::FocusId focus,
-                            double now, metrics::SpecHandle handle);
 
   /// Delete a probe, releasing its cost immediately.
   void remove(ProbeId id);
@@ -105,7 +84,6 @@ class InstrumentationManager {
   std::size_t num_active() const { return num_active_; }
 
   double insertion_latency() const { return insertion_latency_; }
-  const EvalConfig& eval_config() const { return eval_; }
 
  private:
   /// Common insertion tail once the filter, cost, and (only-if-tracing)
@@ -116,12 +94,10 @@ class InstrumentationManager {
   struct Probe {
     std::optional<metrics::MetricInstance> instance;  ///< scan engine only
     metrics::MetricBatch::SlotId slot = -1;           ///< batched engine only
-    metrics::SpecHandle spec;                         ///< speculated probes only
     metrics::MetricKind metric = metrics::MetricKind::CpuTime;
     std::string focus_name;  ///< populated only while event tracing is on
     int selected_ranks = 0;
     double cost = 0.0;
-    double start = 0.0;  ///< observation start (insert time + latency)
     bool active = false;
   };
 
@@ -129,9 +105,8 @@ class InstrumentationManager {
   CostModel cost_model_;
   double insertion_latency_;
   double perturbation_factor_;
-  EvalConfig eval_;
   telemetry::Tracer* tracer_ = nullptr;
-  std::unique_ptr<metrics::MetricBatch> batch_;
+  std::unique_ptr<metrics::MetricBatch> batch_;  ///< null = per-instance scan
   std::vector<Probe> probes_;
   double last_time_ = 0.0;  ///< most recent insert/advance time (for removals)
   double total_cost_ = 0.0;

@@ -9,32 +9,11 @@ namespace histpc::metrics {
 
 using simmpi::Interval;
 
-MetricBatch::MetricBatch(const TraceView& view, int eval_threads,
-                         telemetry::Registry* registry)
+MetricBatch::MetricBatch(const TraceView& view, telemetry::Registry* registry)
     : view_(view),
       registry_(registry),
       rank_pos_(static_cast<std::size_t>(view.trace().num_ranks()), 0),
-      rank_slots_(static_cast<std::size_t>(view.trace().num_ranks())) {
-  const std::size_t nranks = rank_pos_.size();
-  if (eval_threads > 1 && nranks > 1) {
-    nthreads_ = std::min<std::size_t>(static_cast<std::size_t>(eval_threads), nranks);
-    partials_.resize(nthreads_);
-    workers_.reserve(nthreads_);
-    for (std::size_t t = 0; t < nthreads_; ++t)
-      workers_.emplace_back([this, t] { worker_loop(t); });
-  }
-}
-
-MetricBatch::~MetricBatch() {
-  if (nthreads_ > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    cv_start_.notify_all();
-    for (std::thread& w : workers_) w.join();
-  }
-}
+      rank_slots_(static_cast<std::size_t>(view.trace().num_ranks())) {}
 
 MetricBatch::SlotId MetricBatch::add(MetricKind metric, const FocusFilter& filter,
                                      double start_time) {
@@ -67,9 +46,7 @@ void MetricBatch::rebuild_rank_slots() {
   rank_slots_dirty_ = false;
 }
 
-template <typename Accum>
-void MetricBatch::process_rank(std::size_t r, double to, Accum&& accum,
-                               BlockCounters& counters, std::vector<SlotId>& scratch) {
+void MetricBatch::process_rank(std::size_t r, double to, BlockCounters& counters) {
   const auto& ivs = view_.trace().ranks[r].intervals;
   const std::vector<SlotId>& fanout = rank_slots_[r];
   const BlockIndex& blocks = view_.blocks();
@@ -90,41 +67,39 @@ void MetricBatch::process_rank(std::size_t r, double to, Accum&& accum,
     const double block_max_t1 = blocks.block_max_t1(rank, b);
     if (block_max_t1 <= to) {
       ++counters.considered;
-      scratch.clear();
+      scratch_.clear();
       for (SlotId sid : fanout) {
         const Slot& s = slots_[static_cast<std::size_t>(sid)];
         if (s.start < block_max_t1 &&
             blocks.block_may_contribute(rank, b, *s.filter, s.metric))
-          scratch.push_back(sid);
+          scratch_.push_back(sid);
       }
       const std::size_t bend = blocks.block_end(rank, b);
-      if (scratch.empty()) {
+      if (scratch_.empty()) {
         ++counters.skipped;
         pos = bend;
         continue;
       }
       for (; pos < bend; ++pos) {
         const Interval& iv = ivs[pos];
-        for (SlotId sid : scratch) {
-          const Slot& s = slots_[static_cast<std::size_t>(sid)];
+        for (SlotId sid : scratch_) {
+          Slot& s = slots_[static_cast<std::size_t>(sid)];
           if (!s.filter->matches(iv, s.metric)) continue;
           const double lo = std::max({iv.t0, cursor_, s.start});
           const double hi = std::min(iv.t1, to);
-          if (hi > lo) accum(sid, hi - lo);
+          if (hi > lo) s.value += hi - lo;
         }
       }
       continue;
     }
     // Boundary block (extends past `to`): the original per-interval walk.
     const Interval& iv = ivs[pos];
-    if (!fanout.empty()) {
-      for (SlotId sid : fanout) {
-        const Slot& s = slots_[static_cast<std::size_t>(sid)];
-        if (!s.filter->matches(iv, s.metric)) continue;
-        const double lo = std::max({iv.t0, cursor_, s.start});
-        const double hi = std::min(iv.t1, to);
-        if (hi > lo) accum(sid, hi - lo);
-      }
+    for (SlotId sid : fanout) {
+      Slot& s = slots_[static_cast<std::size_t>(sid)];
+      if (!s.filter->matches(iv, s.metric)) continue;
+      const double lo = std::max({iv.t0, cursor_, s.start});
+      const double hi = std::min(iv.t1, to);
+      if (hi > lo) s.value += hi - lo;
     }
     if (iv.t1 <= to) {
       ++pos;  // fully consumed
@@ -135,84 +110,16 @@ void MetricBatch::process_rank(std::size_t r, double to, Accum&& accum,
   rank_pos_[r] = pos;
 }
 
-void MetricBatch::advance_sequential(double to, BlockCounters& counters) {
-  for (std::size_t r = 0; r < rank_pos_.size(); ++r)
-    process_rank(
-        r, to,
-        [this](SlotId sid, double d) { slots_[static_cast<std::size_t>(sid)].value += d; },
-        counters, scratch_);
-}
-
-void MetricBatch::advance_parallel(double to) {
-  for (auto& p : partials_) p.assign(slots_.size(), 0.0);
-  thread_counters_.assign(nthreads_, BlockCounters{});
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_to_ = to;
-    remaining_ = nthreads_;
-    ++generation_;
-  }
-  cv_start_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return remaining_ == 0; });
-  }
-  // Reduce in thread (= rank-chunk) order: deterministic for a fixed
-  // thread count.
-  for (const auto& partial : partials_)
-    for (std::size_t i = 0; i < partial.size(); ++i)
-      if (partial[i] != 0.0) slots_[i].value += partial[i];
-}
-
-void MetricBatch::worker_loop(std::size_t tid) {
-  const std::size_t nranks = rank_pos_.size();
-  const std::size_t chunk = (nranks + nthreads_ - 1) / nthreads_;
-  const std::size_t begin = tid * chunk;
-  const std::size_t end = std::min(nranks, begin + chunk);
-  std::vector<SlotId> scratch;
-  std::uint64_t seen = 0;
-  while (true) {
-    double to;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_start_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      to = job_to_;
-    }
-    std::vector<double>& partial = partials_[tid];
-    for (std::size_t r = begin; r < end; ++r)
-      process_rank(
-          r, to,
-          [&partial](SlotId sid, double d) {
-            partial[static_cast<std::size_t>(sid)] += d;
-          },
-          thread_counters_[tid], scratch);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--remaining_ == 0) cv_done_.notify_one();
-    }
-  }
-}
-
 void MetricBatch::advance_all(double to) {
   if (to <= cursor_) return;
   if (rank_slots_dirty_) rebuild_rank_slots();
   // Consumed-interval telemetry from the rank cursors, so the fan-out loop
-  // itself stays untouched (and the worker threads never see registry_).
+  // itself stays untouched.
   std::size_t consumed_before = 0;
   if (registry_)
     for (std::size_t p : rank_pos_) consumed_before += p;
   BlockCounters bc;
-  if (nthreads_ > 0 && num_active_ > 0) {
-    advance_parallel(to);
-    for (const BlockCounters& c : thread_counters_) {
-      bc.considered += c.considered;
-      bc.skipped += c.skipped;
-    }
-  } else {
-    advance_sequential(to, bc);
-  }
+  for (std::size_t r = 0; r < rank_pos_.size(); ++r) process_rank(r, to, bc);
   cursor_ = to;
   if (registry_) {
     std::size_t consumed_after = 0;

@@ -10,19 +10,12 @@
 // O(new intervals * matching slots) instead of
 // O(instances * (ranks + new intervals)).
 //
-// Equivalence: with eval_threads <= 1 a slot's value is accumulated in
-// exactly the same order as a MetricInstance advanced over the same tick
-// pattern (rank-major, interval order), so values are bit-identical to the
-// scan path. With eval_threads > 1 ranks are partitioned across a
-// persistent worker pool and per-thread partial sums are reduced in thread
-// order — deterministic for a fixed thread count, but grouped differently,
-// so values may differ from the sequential path in the last few ulps.
+// Equivalence: a slot's value is accumulated in exactly the same order as
+// a MetricInstance advanced over the same tick pattern (rank-major,
+// interval order), so values are bit-identical to the scan path.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "metrics/trace_view.h"
@@ -34,18 +27,10 @@ class MetricBatch {
  public:
   using SlotId = std::int32_t;
 
-  /// `eval_threads` > 1 enables the rank-parallel mode with that many
-  /// workers (capped at the rank count). `registry`, when given, receives
-  /// per-tick evaluation counters ("metrics.batch.ticks",
-  /// "metrics.batch.intervals", and the block-skip pair
-  /// "metrics.batch.blocks_considered" / "metrics.batch.blocks_skipped");
-  /// it is bumped from advance_all on the caller's thread only, so the
-  /// unsynchronized Registry is safe here.
-  explicit MetricBatch(const TraceView& view, int eval_threads = 0,
-                       telemetry::Registry* registry = nullptr);
-  ~MetricBatch();
-  MetricBatch(const MetricBatch&) = delete;
-  MetricBatch& operator=(const MetricBatch&) = delete;
+  /// `registry`, when given, receives per-tick evaluation counters
+  /// ("metrics.batch.ticks", "metrics.batch.intervals", and the block-skip
+  /// pair "metrics.batch.blocks_considered" / "metrics.batch.blocks_skipped").
+  explicit MetricBatch(const TraceView& view, telemetry::Registry* registry = nullptr);
 
   /// Register a metric-focus pair observing data from `start_time` on.
   /// Keeps a pointer to `filter`; the caller guarantees it outlives the
@@ -82,46 +67,26 @@ class MetricBatch {
     std::uint64_t skipped = 0;
   };
 
-  /// Walk rank `r`'s new intervals in [cursor_, to) and fan each out to the
-  /// rank's active slots; `accum(slot, seconds)` receives the matches.
-  /// Blocks fully inside the tick consult the view's BlockIndex summaries:
-  /// slots the summary proves contribution-free drop out of the block's
-  /// fan-out, and a block provably empty for every slot is jumped over
-  /// without touching its intervals. Only exactly-zero contributions are
-  /// elided, so slot values stay bit-identical to the plain interval walk.
-  /// `scratch` is the caller's reusable sub-fan-out buffer.
-  template <typename Accum>
-  void process_rank(std::size_t r, double to, Accum&& accum, BlockCounters& counters,
-                    std::vector<SlotId>& scratch);
+  /// Walk rank `r`'s new intervals in [cursor_, to) and add each one's
+  /// clipped duration to the rank's matching active slots. Blocks fully
+  /// inside the tick consult the view's BlockIndex summaries: slots the
+  /// summary proves contribution-free drop out of the block's fan-out, and
+  /// a block provably empty for every slot is jumped over without touching
+  /// its intervals. Only exactly-zero contributions are elided, so slot
+  /// values stay bit-identical to the plain interval walk.
+  void process_rank(std::size_t r, double to, BlockCounters& counters);
 
   void rebuild_rank_slots();
-  void advance_sequential(double to, BlockCounters& counters);
-  void advance_parallel(double to);
-  void worker_loop(std::size_t tid);
 
   const TraceView& view_;
   telemetry::Registry* registry_ = nullptr;
   std::vector<Slot> slots_;
   std::vector<std::size_t> rank_pos_;          ///< shared per-rank cursor
   std::vector<std::vector<SlotId>> rank_slots_;  ///< active slots per rank
-  std::vector<SlotId> scratch_;                  ///< sequential-path sub-fan-out
+  std::vector<SlotId> scratch_;                  ///< per-block sub-fan-out
   bool rank_slots_dirty_ = true;
   double cursor_ = 0.0;
   std::size_t num_active_ = 0;
-
-  // Persistent worker pool (only spun up when eval_threads > 1). Workers
-  // own disjoint rank chunks; each accumulates into its partials_ row,
-  // which the caller reduces in thread order after the tick.
-  std::size_t nthreads_ = 0;
-  std::vector<std::thread> workers_;
-  std::vector<std::vector<double>> partials_;
-  std::vector<BlockCounters> thread_counters_;
-  std::mutex mu_;
-  std::condition_variable cv_start_, cv_done_;
-  std::uint64_t generation_ = 0;
-  std::size_t remaining_ = 0;
-  double job_to_ = 0.0;
-  bool shutdown_ = false;
 };
 
 }  // namespace histpc::metrics

@@ -44,11 +44,6 @@ util::Json TelemetrySummary::to_json() const {
   j["cost_gate_engagements"] = cost_gate_engagements;
   j["peak_cost"] = peak_cost;
   j["avg_cost"] = avg_cost;
-  j["spec_launched"] = spec_launched;
-  j["spec_hits"] = spec_hits;
-  j["spec_discarded"] = spec_discarded;
-  j["spec_hit_rate"] = spec_hit_rate;
-  j["spec_wasted_seconds"] = spec_wasted_seconds;
   util::Json phases = util::Json::object();
   for (const auto& [name, seconds] : phase_seconds) phases[name] = seconds;
   j["phase_seconds"] = std::move(phases);
@@ -63,7 +58,7 @@ PerformanceConsultant::PerformanceConsultant(const metrics::TraceView& view, PcC
       tracer_(config_.trace_sink),
       instr_(view, config_.cost_model, config_.insertion_latency,
              config_.perturbation_factor,
-             instr::EvalConfig{config_.batched_eval, config_.eval_threads}, &tracer_),
+             config_.batched_eval, &tracer_),
       shg_(config_.hypotheses, config_.interned_foci ? &view.foci() : nullptr) {
   if (config_.tick <= 0 || config_.min_observation <= 0)
     throw std::invalid_argument("PcConfig: tick and min_observation must be positive");
@@ -259,13 +254,7 @@ void PerformanceConsultant::activate(int id, double now) {
   // Node creation rejects scope-incompatible pairs, so the adjusted focus
   // always exists here.
   if (foci_) {
-    const resources::FocusId pfid = *probe_focus_id(n.hyp, n.fid);
-    std::optional<metrics::SpecHandle> handle;
-    // Persistent pairs need live per-tick samples (flip detection), so
-    // they are never speculated and never claimed.
-    if (spec_ && !n.persistent) handle = spec_->claim(h.metric, pfid, now);
-    n.probe = handle ? instr_.insert_speculated(h.metric, pfid, now, std::move(*handle))
-                     : instr_.insert(h.metric, pfid, now);
+    n.probe = instr_.insert(h.metric, *probe_focus_id(n.hyp, n.fid), now);
   } else {
     n.probe = instr_.insert(h.metric, *probe_focus(n.hyp, n.focus), now);
   }
@@ -487,123 +476,6 @@ void PerformanceConsultant::check_persistent_flip(int id, const instr::ProbeSamp
   if (flipped) refine(id, now);  // may reallocate SHG nodes
 }
 
-void PerformanceConsultant::init_speculation(double horizon) {
-  horizon_ = horizon;
-  const int threads = util::ThreadPool::resolve(config_.search_threads);
-  // Speculation needs FocusId cache keys; in string (oracle) mode the
-  // knob is silently serial.
-  if (threads < 2 || !foci_) return;
-  spec_pool_ = std::make_unique<util::ThreadPool>(threads - 1);
-  SpeculationCache::Params params;
-  params.insertion_latency = config_.insertion_latency;
-  params.min_observation = config_.min_observation;
-  params.tick = config_.tick;
-  params.horizon = horizon;
-  spec_ = std::make_unique<SpeculationCache>(view_, *spec_pool_, params);
-}
-
-void PerformanceConsultant::speculate(double now) {
-  // Memoization: between conclusions/activations nothing below can change
-  // (the wave and admission set are pure over this signature), so the
-  // per-tick cost of the scheduler collapses to this comparison. Every
-  // event that shifts the admission simulation moves one of these values:
-  // conclusions shrink active_ or reclassify persistent cost, activations
-  // grow active_ and total cost, refinements grow the SHG and the queues.
-  const auto sig = std::make_tuple(shg_.size(), active_.size(), unconcluded_active_,
-                                   instr_.total_cost(), persistent_cost_,
-                                   queue_high_.size(), queue_medium_.size(),
-                                   queue_low_.size());
-  if (sig == spec_sig_ && (!std::isfinite(spec_wave_) || spec_wave_ > now)) return;
-  spec_sig_ = sig;
-
-  spec_->invalidate_stale(now);
-
-  // A node's conclusion tick is fixed once it activates, so the replayed
-  // recurrence (which the prediction must walk tick by tick to stay
-  // bit-faithful) is cached per node and recomputed only if the node is
-  // ever re-activated at a different time.
-  auto predicted = [this](int id, const ShgNode& n) {
-    auto [it, fresh] = spec_predict_.try_emplace(id);
-    if (fresh || it->second.first != n.activate_time)
-      it->second = {n.activate_time,
-                    metrics::predict_conclude_tick(
-                        n.activate_time, config_.insertion_latency,
-                        config_.min_observation, config_.tick, horizon_)};
-    return it->second.second;
-  };
-
-  // Predict the next activation wave: every conclusion tick is pure
-  // arithmetic over (activate_time, latency, min_observation, tick), so
-  // the earliest conclusion among the active probes — the moment the gate
-  // next frees cost and admits new candidates — is known exactly, ahead
-  // of time. Probes that never reach min_observation before the horizon
-  // predict +inf and are ignored.
-  double wave = std::numeric_limits<double>::infinity();
-  for (int id : active_) {
-    const ShgNode& n = shg_.node(id);
-    if (n.status != NodeStatus::Active) continue;
-    wave = std::min(wave, predicted(id, n));
-  }
-  spec_wave_ = wave;
-  if (!std::isfinite(wave) || wave <= now) return;
-
-  // Simulate the wave's cost-gate admission exactly: conclusions at the
-  // wave free their probes' cost from the expansion meter (removal for
-  // ordinary probes, reclassification for persistent ones — same meter
-  // effect), then activate_pending() admits queued candidates in priority
-  // order while the meter is under the limit, each adding its predicted
-  // probe cost (one overshoot allowed, like the real loop). Speculating
-  // precisely this admission set — instead of a fixed top-K — is what
-  // keeps the hit rate high and the discard pile small; the residual
-  // mispredictions come from refinements and persistent flips that land
-  // at the wave tick itself, and those simply fall back to the live
-  // engine.
-  double meter = instr_.total_cost() - persistent_cost_;
-  for (int id : active_) {
-    const ShgNode& n = shg_.node(id);
-    if (n.status != NodeStatus::Active) continue;
-    if (predicted(id, n) == wave) meter -= instr_.probe_cost(n.probe);
-  }
-
-  std::vector<SpeculationCache::Candidate> cands;
-  std::vector<std::pair<int, resources::FocusId>> seen;
-  bool gate_closed = false;
-  for (auto* q : {&queue_high_, &queue_medium_, &queue_low_}) {
-    if (gate_closed) break;
-    for (int id : *q) {
-      const ShgNode& n = shg_.node(id);
-      if (n.status != NodeStatus::Pending) continue;
-      if (meter >= config_.cost_limit) {
-        gate_closed = true;
-        break;
-      }
-      const Hypothesis& h = config_.hypotheses.at(n.hyp);
-      const auto pfid = probe_focus_id(n.hyp, n.fid);
-      if (!pfid) continue;
-      // Admitted: its cost occupies the meter whether or not we
-      // speculate it (persistent seeds are admitted but need live
-      // per-tick samples, so they are never pre-evaluated). The cost
-      // model is pure over (focus, metric), so price each pair once.
-      const std::pair<int, resources::FocusId> cost_key{static_cast<int>(h.metric),
-                                                        *pfid};
-      auto cost_it = spec_cost_.find(cost_key);
-      if (cost_it == spec_cost_.end())
-        cost_it = spec_cost_
-                      .emplace(cost_key,
-                               config_.cost_model.probe_cost(view_, *pfid, h.metric))
-                      .first;
-      meter += cost_it->second;
-      if (n.persistent) continue;
-      const std::pair<int, resources::FocusId> key{static_cast<int>(h.metric), *pfid};
-      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-      seen.push_back(key);
-      if (spec_->contains(h.metric, *pfid, wave)) continue;
-      cands.push_back({h.metric, *pfid, &view_.compiled(*pfid)});
-    }
-  }
-  if (!cands.empty()) spec_->launch_wave(std::move(cands), wave);
-}
-
 bool PerformanceConsultant::has_pending() const {
   for (const auto* q : {&queue_high_, &queue_medium_, &queue_low_})
     for (int id : *q)
@@ -633,11 +505,9 @@ DiagnosisResult PerformanceConsultant::run() {
   seed_top_level();
 
   const double horizon = std::min(config_.max_time, view_.trace().duration);
-  init_speculation(horizon);
   const auto wall_start = std::chrono::steady_clock::now();
   double t = 0.0;
   activate_pending(t);
-  if (spec_) speculate(t);
   while (t < horizon) {
     if (search_finished()) break;
     // Deadline propagation: a served request's wall budget ends the search
@@ -677,26 +547,8 @@ DiagnosisResult PerformanceConsultant::run() {
       telemetry::ScopedTimer timer(tracer_.registry(), "pc.expand");
       activate_pending(t);
     }
-    if (spec_) {
-      telemetry::ScopedTimer timer(tracer_.registry(), "pc.speculate");
-      speculate(t);
-    }
   }
   trace_event(telemetry::EventKind::PhaseEnd, t, -1, std::string(), 0.0, 0.0, "search");
-  if (spec_) {
-    // Settle the speculation layer before reporting: everything unclaimed
-    // is discarded, and the stats fold into the (unsynchronized) registry
-    // here on the decision thread only.
-    spec_->finish();
-    const SpeculationCache::Stats& st = spec_->stats();
-    telemetry::Registry& reg = tracer_.registry();
-    reg.add("pc.spec.launched", st.launched);
-    reg.add("pc.spec.hit", st.hits);
-    reg.add("pc.spec.discarded", st.discarded);
-    reg.add("pc.spec.groups", st.groups);
-    reg.add("pc.spec.wasted_ns", st.wasted_ns);
-    reg.add("pc.spec.eval_ns", st.eval_ns);
-  }
   return build_result(t);
 }
 
@@ -749,15 +601,6 @@ DiagnosisResult PerformanceConsultant::build_result(double end_time) {
   tel.cost_gate_engagements = reg.counter("pc.cost_gate");
   tel.peak_cost = instr_.peak_cost();
   tel.avg_cost = end_time > 0.0 ? cost_integral_ / end_time : 0.0;
-  tel.spec_launched = reg.counter("pc.spec.launched");
-  tel.spec_hits = reg.counter("pc.spec.hit");
-  tel.spec_discarded = reg.counter("pc.spec.discarded");
-  tel.spec_hit_rate = tel.spec_launched > 0
-                          ? static_cast<double>(tel.spec_hits) /
-                                static_cast<double>(tel.spec_launched)
-                          : 0.0;
-  tel.spec_wasted_seconds =
-      static_cast<double>(reg.counter("pc.spec.wasted_ns")) * 1e-9;
   for (const auto& [name, stat] : reg.timers())
     tel.phase_seconds[name] = stat.seconds;
   return result;

@@ -26,10 +26,7 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <string>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,9 +36,7 @@
 #include "pc/directives.h"
 #include "pc/hypothesis.h"
 #include "pc/shg.h"
-#include "pc/speculation.h"
 #include "telemetry/tracer.h"
-#include "util/thread_pool.h"
 
 namespace histpc::pc {
 
@@ -89,21 +84,6 @@ struct PcConfig {
   /// the reference per-instance scan. Results are bit-identical
   /// (property-tested); the scan engine is kept as the oracle.
   bool batched_eval = true;
-  /// > 1 enables rank-parallel batched evaluation with that many worker
-  /// threads. Values can differ from the sequential engines in the last
-  /// few ulps (floating-point summation order), never beyond.
-  int eval_threads = 0;
-  /// Speculative parallel search. 1 (default) = the pure serial decision
-  /// loop (the oracle); N >= 2 = the same serial loop plus N-1 worker
-  /// threads that pre-evaluate the refinement candidates most likely to
-  /// be admitted next by the cost gate (pc/speculation.h); 0 =
-  /// hardware_concurrency. Conclusions are bit-identical for every value
-  /// — a correct prediction hands the loop the exact sample the live
-  /// engine would have produced, and a wrong one falls back to the live
-  /// engine — so this is purely a wall-clock knob (property-tested in
-  /// tests/speculation_test.cpp). Requires interned_foci; silently serial
-  /// otherwise.
-  int search_threads = 1;
   /// Run the search on interned FocusIds (the view's FocusTable): SHG
   /// keying, directive lookups, refinement expansion, and instrumentation
   /// requests become integer operations, and focus names are materialized
@@ -172,17 +152,10 @@ struct TelemetrySummary {
   std::uint64_t cost_gate_engagements = 0;  ///< times the cost ceiling halted expansion
   double peak_cost = 0.0;               ///< max active instrumentation cost
   double avg_cost = 0.0;                ///< time-weighted mean over the search
-  /// Speculative search (search_threads >= 2; all zero when serial):
-  /// candidates pre-evaluated, predictions that came true, predictions
-  /// discarded, and the evaluation wall time spent on never-claimed work.
-  std::uint64_t spec_launched = 0;
-  std::uint64_t spec_hits = 0;
-  std::uint64_t spec_discarded = 0;
-  double spec_hit_rate = 0.0;  ///< hits / launched; 0 when nothing launched
-  double spec_wasted_seconds = 0.0;
-  /// Wall seconds by phase ("pc.advance", "pc.evaluate", "pc.expand",
-  /// "pc.speculate" when speculating, plus "session.*" entries when run
-  /// through a DiagnosisSession).
+  /// Wall seconds by phase for this diagnosis ("pc.advance", "pc.evaluate",
+  /// "pc.expand", plus "session.*" entries when run through a
+  /// DiagnosisSession: its one-time construction timers and this call's
+  /// "session.diagnose" lap).
   std::map<std::string, double> phase_seconds;
 
   util::Json to_json() const;
@@ -237,12 +210,6 @@ class PerformanceConsultant {
   void release_discovered(double now);
   void activate(int id, double now);
   void activate_pending(double now);
-  /// Spin up the speculation layer (pool + cache) when configured; called
-  /// once at the top of run(), after the horizon is known.
-  void init_speculation(double horizon);
-  /// One scheduling round: sweep stale entries, predict the next
-  /// activation wave, and launch not-yet-speculated pending candidates.
-  void speculate(double now);
   void conclude(int id, const instr::ProbeSample& sample, double now);
   void refine(int id, double now);
   void check_persistent_flip(int id, const instr::ProbeSample& sample, double now);
@@ -324,28 +291,6 @@ class PerformanceConsultant {
     double fraction;
   };
   std::vector<Found> found_;
-  /// Speculation layer (null unless search_threads >= 2 and interned
-  /// mode). The pool is declared before the cache: cache.finish() runs in
-  /// run(), and destruction order (cache, then pool) keeps tasks — which
-  /// hold shared_ptrs to their groups — valid either way.
-  std::unique_ptr<util::ThreadPool> spec_pool_;
-  std::unique_ptr<SpeculationCache> spec_;
-  double horizon_ = 0.0;  ///< run()'s search horizon, for wave prediction
-  /// Memoization of speculate(): the (wave, admission set) computation is
-  /// a pure function of the search state summarized here, so ticks that
-  /// conclude or activate nothing skip the recomputation entirely. A
-  /// missed recomputation can only cost efficiency (an unspeculated
-  /// candidate falls back to the live engine), never correctness.
-  std::tuple<std::size_t, std::size_t, std::size_t, double, double, std::size_t,
-             std::size_t, std::size_t>
-      spec_sig_{};
-  double spec_wave_ = -1.0;
-  /// node id -> (activate_time it was computed for, predicted conclude
-  /// tick): the tick-by-tick replay is walked once per activation.
-  std::unordered_map<int, std::pair<double, double>> spec_predict_;
-  /// (metric, focus) -> predicted probe cost: the model is pure, so each
-  /// pair is priced once per search.
-  std::map<std::pair<int, resources::FocusId>, double> spec_cost_;
   bool ran_ = false;
   bool deadline_hit_ = false;  ///< wall_budget_seconds expired mid-search
 };

@@ -305,7 +305,6 @@ void DiagnosisServer::append_perf_record(const DiagnoseRequest& request,
   rec.config["app"] = request.app;
   rec.config["threads"] = std::to_string(workers_ ? workers_->size() : 0);
   rec.config["queue_depth"] = std::to_string(config_.queue_depth);
-  rec.config["search_threads"] = std::to_string(request.search_threads);
   rec.config["result_cache"] = config_.result_cache ? "1" : "0";
   rec.registry = reply.registry;
   std::lock_guard<std::mutex> lock(perf_mu_);

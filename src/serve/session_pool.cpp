@@ -28,10 +28,6 @@ DiagnoseRequest DiagnoseRequest::from_json(const util::Json& body) {
   req.node_base = static_cast<int>(body.get_or("node_base", static_cast<double>(req.node_base)));
   req.threshold = body.get_or("threshold", req.threshold);
   req.cost_limit = body.get_or("cost_limit", req.cost_limit);
-  req.search_threads =
-      static_cast<int>(body.get_or("search_threads", static_cast<double>(req.search_threads)));
-  if (req.search_threads < 0)
-    throw util::JsonError("field 'search_threads' must be non-negative");
   req.directives_text = body.get_or("directives", std::string());
   req.deadline_ms = body.get_or("deadline_ms", 0.0);
   req.want_shg = body.get_or("shg", false);
@@ -79,8 +75,8 @@ util::Json diagnose_result_json(const std::string& app, const pc::DiagnosisResul
   j["stats"] = std::move(stats);
 
   // Deterministic telemetry counts only: functions of the virtual-time
-  // search, identical for every thread count. Wall-clock phase timings and
-  // speculation hit rates vary run to run and are deliberately left out.
+  // search. Wall-clock phase timings vary run to run and are deliberately
+  // left out.
   util::Json telemetry = util::Json::object();
   telemetry["conclusions_true"] = result.telemetry.conclusions_true;
   telemetry["conclusions_false"] = result.telemetry.conclusions_false;
@@ -170,7 +166,6 @@ DiagnoseReply SessionPool::diagnose(const DiagnoseRequest& request) {
   pc::PcConfig config;
   config.threshold_override = request.threshold;
   config.cost_limit = request.cost_limit;
-  config.search_threads = request.search_threads;
   if (request.deadline_ms > 0.0) config.wall_budget_seconds = request.deadline_ms / 1000.0;
 
   pc::DirectiveSet directives;

@@ -41,28 +41,26 @@ struct DiagnoseRequest {
   int node_base = 1;
   double threshold = -1.0;   ///< <= 0: hypothesis defaults
   double cost_limit = 0.05;
-  int search_threads = 1;
   std::string directives_text;  ///< DirectiveSet::serialize() format
   double deadline_ms = 0.0;     ///< > 0: wall budget for the search
   bool want_shg = false;
   bool use_result_cache = true;  ///< request opt-out ("no_result_cache")
 
   /// Decode a request body; throws util::JsonError naming the bad field.
+  /// Fields it does not know are ignored, so bodies from older clients
+  /// that still send retired fields keep working.
   static DiagnoseRequest from_json(const util::Json& body);
 
   /// Canonical key over the fields that determine the diagnosis result.
-  /// search_threads is deliberately excluded: conclusions are
-  /// bit-identical for every thread count (property-tested), so all
-  /// thread counts share one cache entry.
   std::string cache_key() const;
 };
 
 /// The deterministic "result" object for a diagnosis: app, bottlenecks,
 /// stats, and the deterministic telemetry counts — everything that must be
 /// bit-identical between a served request and a one-shot CLI run. Wall-
-/// clock-dependent fields (phase timings, speculation effectiveness) are
-/// excluded by construction. The bit-identity oracle test serializes its
-/// locally-computed result through this same function.
+/// clock-dependent fields (phase timings) are excluded by construction.
+/// The bit-identity oracle test serializes its locally-computed result
+/// through this same function.
 util::Json diagnose_result_json(const std::string& app, const pc::DiagnosisResult& result,
                                 const std::string& shg_render);
 

@@ -1,11 +1,12 @@
-// Fixed-size worker pool shared by the parallel subsystems: the variant
-// runner (whole diagnoses in parallel) and the Performance Consultant's
-// speculative search (pre-evaluation of likely refinement candidates).
+// Fixed-size worker pool shared by the parallel subsystems, each of which
+// runs independent units of work side by side: the variant runner (whole
+// diagnoses), the `histpc serve` workers (requests), and
+// ExperimentStore::migrate_all (`histpc migrate --jobs`, records).
 //
 // Deliberately minimal: a bounded set of threads draining a FIFO queue of
 // void() tasks. There is no future/promise layer — callers that need a
-// result publish it through their own synchronized structure (e.g.
-// metrics::SpecGroup) and either wait on that structure or on wait_idle().
+// result write it to a slot they own (variant_runner stores each outcome
+// by input index) and wait on wait_idle().
 // Tasks must not throw; wrap fallible work in try/catch and stash the
 // exception (variant_runner keeps a per-variant std::exception_ptr).
 #pragma once

@@ -253,7 +253,7 @@ TEST(BlockMaxProperty, BatchWithBlockSkippingIsBitIdenticalToInstances) {
     const simmpi::ExecutionTrace trace = random_trace(rng);
     const TraceView view(trace);
 
-    MetricBatch batch(view, /*eval_threads=*/0);
+    MetricBatch batch(view);
     std::vector<MetricInstance> instances;
     std::vector<MetricBatch::SlotId> slots;
 
@@ -288,7 +288,7 @@ TEST(BlockMax, BatchTelemetryRecordsBlockSkips) {
   const Focus narrow = Focus::whole_program(view.resources())
                            .with_part(3, "/SyncObject/" + trace.sync_objects[0]);
   telemetry::Registry registry;
-  MetricBatch batch(view, 0, &registry);
+  MetricBatch batch(view, &registry);
   batch.add(MetricKind::CpuTime, view.compiled(narrow), 0.0);
   batch.advance_all(trace.duration + 1.0);
   EXPECT_GT(registry.counter("metrics.batch.blocks_considered"), 0u);

@@ -46,6 +46,8 @@ TEST(Session, RepeatedDiagnosesAreIndependent) {
   const pc::DiagnosisResult b = s.diagnose();
   EXPECT_EQ(a.stats.pairs_tested, b.stats.pairs_tested);
   EXPECT_EQ(a.stats.bottlenecks, b.stats.bottlenecks);
+  // phase_seconds is this diagnosis's own cost, not the session's total.
+  EXPECT_LT(b.telemetry.phase_seconds.at("pc.advance"), s.registry().timer("pc.advance").seconds);
 }
 
 TEST(Session, MakeRecordStripsVersionSuffixFromAppFamily) {

@@ -22,27 +22,23 @@ std::string crc_hex(const std::string& bytes) {
 
 std::vector<std::string> golden_lines(const std::string& app) {
   core::DiagnosisSession session(app);
-  const pc::DiagnosisResult base = session.diagnose();
-  const std::string base_shg = session.last_shg();
-  const history::ExperimentRecord base_record = session.make_record(base, "golden");
+  // The directed variants use directives harvested from the app's own
+  // undirected record; variant 0 ("No Directives") re-runs that search.
+  const history::ExperimentRecord base_record = session.make_record(session.diagnose(), "golden");
 
   std::vector<std::string> lines;
-  const std::vector<core::DiagnosisVariant> variants = core::table1_variants(base_record);
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    // Variant 0 is the undirected search itself; the other five use
-    // directives harvested from its record.
-    const pc::DiagnosisResult result = i == 0 ? base : session.diagnose(variants[i].directives);
-    history::ExperimentRecord record =
-        i == 0 ? base_record : session.make_record(result, "golden");
+  for (const core::DiagnosisVariant& variant : core::table1_variants(base_record)) {
+    const pc::DiagnosisResult result = session.diagnose(variant.directives);
+    history::ExperimentRecord record = session.make_record(result, "golden");
     record.machine.clear();
 
     util::Json line = util::Json::object();
     line["app"] = app;
-    line["variant"] = variants[i].name;
+    line["variant"] = variant.name;
     line["bottlenecks"] = result.stats.bottlenecks;
     line["pairs_tested"] = result.stats.pairs_tested;
     line["result_crc"] = crc_hex(serve::diagnose_result_json(app, result, "").dump());
-    line["shg_crc"] = crc_hex(i == 0 ? base_shg : session.last_shg());
+    line["shg_crc"] = crc_hex(session.last_shg());
     line["record_crc"] = crc_hex(record.to_json().dump());
     lines.push_back(line.dump());
   }

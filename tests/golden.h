@@ -6,6 +6,7 @@
 // lines; the golden_dump tool prints them (scripts/refresh_goldens.sh).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 

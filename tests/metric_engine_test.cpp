@@ -157,7 +157,7 @@ TEST(MetricEngineProperty, SequentialBatchIsBitIdenticalToInstances) {
     const simmpi::ExecutionTrace trace = random_trace(rng);
     const TraceView view(trace);
 
-    MetricBatch batch(view, /*eval_threads=*/0);
+    MetricBatch batch(view);
     std::vector<MetricInstance> instances;
     std::vector<MetricBatch::SlotId> slots;
     std::vector<const FocusFilter*> filters;
@@ -194,7 +194,7 @@ TEST(MetricEngine, RemovedSlotStopsAccumulating) {
   const TraceView view(trace);
   const FocusFilter& filter = view.compiled(Focus::whole_program(view.resources()));
 
-  MetricBatch batch(view, 0);
+  MetricBatch batch(view);
   const auto kept = batch.add(MetricKind::ExecTime, filter, 0.0);
   const auto removed = batch.add(MetricKind::ExecTime, filter, 0.0);
   const double mid = trace.duration / 2;
@@ -206,34 +206,6 @@ TEST(MetricEngine, RemovedSlotStopsAccumulating) {
   EXPECT_DOUBLE_EQ(batch.value(removed), at_removal);
   EXPECT_GT(batch.value(kept), at_removal);
   EXPECT_EQ(batch.num_active(), 1u);
-}
-
-// ------------------------------------------------------- threaded batch
-
-TEST(MetricEngineProperty, ThreadedBatchMatchesSequential) {
-  for (std::uint64_t seed = 21; seed <= 23; ++seed) {
-    util::Rng rng(seed);
-    const simmpi::ExecutionTrace trace = random_trace(rng);
-    const TraceView view(trace);
-
-    MetricBatch seq(view, 0);
-    MetricBatch par(view, 4);
-    std::vector<MetricBatch::SlotId> sslots, pslots;
-    for (int i = 0; i < 10; ++i) {
-      const Focus focus = random_focus(rng, view);
-      const FocusFilter& filter = view.compiled(focus);
-      const MetricKind metric = kAllMetrics[rng.next_below(std::size(kAllMetrics))];
-      const double start = rng.uniform(0.0, trace.duration / 3);
-      sslots.push_back(seq.add(metric, filter, start));
-      pslots.push_back(par.add(metric, filter, start));
-    }
-    for (double t = 0.3; t < trace.duration + 0.3; t += 0.3) {
-      seq.advance_all(t);
-      par.advance_all(t);
-    }
-    for (std::size_t k = 0; k < sslots.size(); ++k)
-      EXPECT_NEAR(seq.value(sslots[k]), par.value(pslots[k]), 1e-9) << "seed " << seed;
-  }
 }
 
 // ------------------------------------------------------------ unit tests
@@ -304,7 +276,7 @@ TEST_F(MetricEngineUnit, EmptyRankSelectionIsZeroEverywhere) {
   EXPECT_DOUBLE_EQ(view_.query(MetricKind::ExecTime, filter, 0.0, trace_.duration), 0.0);
   EXPECT_DOUBLE_EQ(view_.fraction(MetricKind::ExecTime, filter, 0.0, trace_.duration), 0.0);
 
-  MetricBatch batch(view_, 0);
+  MetricBatch batch(view_);
   const auto slot = batch.add(MetricKind::ExecTime, filter, 0.0);
   batch.advance_all(trace_.duration);
   EXPECT_DOUBLE_EQ(batch.value(slot), 0.0);

@@ -65,7 +65,6 @@ std::string oracle_result_dump() {
   pc::PcConfig config;
   config.threshold_override = -1.0;
   config.cost_limit = 0.05;
-  config.search_threads = 1;
   pc::PerformanceConsultant consultant(session.view(), config, {});
   const pc::DiagnosisResult result = consultant.run();
   return diagnose_result_json(kApp, result, "").dump();
@@ -272,9 +271,9 @@ TEST(ServeTest, EveryDiagnosisAppendsAServePerfRecord) {
 
 TEST(ServeOracle, ConcurrentServedResultsMatchOneShotBitForBit) {
   // The acceptance bar: a diagnosis served concurrently — any server
-  // thread count, any per-request search_threads — is byte-identical to
-  // the one-shot local run. Everything timing-dependent lives in the
-  // reply's "server" object; "result" must be pure.
+  // thread count — is byte-identical to the one-shot local run.
+  // Everything timing-dependent lives in the reply's "server" object;
+  // "result" must be pure.
   const std::string oracle = oracle_result_dump();
 
   for (const int server_threads : {1, 2, 4}) {
@@ -289,9 +288,10 @@ TEST(ServeOracle, ConcurrentServedResultsMatchOneShotBitForBit) {
     std::atomic<int> failures{0};
     for (int c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
-        // Odd clients bypass the result cache so real searches overlap;
-        // search_threads cycles 1/2/4 (the cache key ignores it — results
-        // are thread-count-invariant by construction).
+        // Odd clients bypass the result cache so real searches overlap.
+        // Every client also sends the retired search_threads field (1/2/4)
+        // as an old client would: the server must ignore it like any
+        // unknown field, leaving the result unchanged.
         std::string extra = "\"search_threads\": " + std::to_string(1 << (c % 3));
         if (c % 2) extra += ", \"no_result_cache\": true";
         const auto resp =

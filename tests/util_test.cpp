@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -12,6 +13,7 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace histpc::util {
 namespace {
@@ -394,6 +396,36 @@ TEST(Log, UnknownLevelWarnsOnceThenStaysQuiet) {
   EXPECT_EQ(parse_log_level("utterly-bogus-level"), LogLevel::Info);
   EXPECT_EQ(captured.size(), 1u);  // warned once, not per call
   set_log_sink({});
+}
+
+TEST(ThreadPool, RunsEveryTaskAndWaitsIdle) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 100; ++i)
+    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(ThreadPool, SubmitFromInsideTaskAndDestructorDrains) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 10; ++i)
+      pool.submit([&ran, &pool] {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      });
+  }  // destructor drains the nested submissions
+  EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(ThreadPool, ResolveMapsZeroToHardwareConcurrency) {
+  EXPECT_GE(ThreadPool::resolve(0), 1);
+  EXPECT_GE(ThreadPool::resolve(-3), 1);
+  EXPECT_EQ(ThreadPool::resolve(4), 4);
+  EXPECT_EQ(ThreadPool::resolve(1), 1);
 }
 
 }  // namespace
