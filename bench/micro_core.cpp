@@ -308,17 +308,17 @@ void BM_FocusOpsInterned(benchmark::State& state) {
 BENCHMARK(BM_FocusOpsInterned);
 
 void BM_ShgInsertAndDedup(benchmark::State& state) {
-  const auto& view = shared_view();
+  auto& table = shared_view().foci();
   const pc::HypothesisSet hyps = pc::HypothesisSet::standard();
-  const auto whole = resources::Focus::whole_program(view.resources());
-  const auto children = whole.refinements(view.resources());
+  const resources::FocusId whole = table.whole_program();
+  const std::vector<resources::FocusId>& children = table.refinements(whole);
   for (auto _ : state) {
-    pc::SearchHistoryGraph shg(hyps);
+    pc::SearchHistoryGraph shg(hyps, table);
     for (int hyp = 0; hyp < 3; ++hyp) {
       int parent = shg.add_node(hyp, whole, shg.root(), 0.0);
-      for (const auto& child : children) shg.add_node(hyp, child, parent, 1.0);
+      for (resources::FocusId child : children) shg.add_node(hyp, child, parent, 1.0);
       // Second pass: every add is a dedup hit.
-      for (const auto& child : children) shg.add_node(hyp, child, parent, 2.0);
+      for (resources::FocusId child : children) shg.add_node(hyp, child, parent, 2.0);
     }
     benchmark::DoNotOptimize(shg.size());
   }
@@ -446,31 +446,6 @@ void BM_FullDiagnosisTraced(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDiagnosisTraced);
-
-void BM_FullDiagnosisScanEval(benchmark::State& state) {
-  // Same search with the reference per-instance scan engine.
-  const auto& view = shared_view();
-  pc::PcConfig config;
-  config.batched_eval = false;
-  for (auto _ : state) {
-    pc::PerformanceConsultant consultant(view, config);
-    benchmark::DoNotOptimize(consultant.run());
-  }
-}
-BENCHMARK(BM_FullDiagnosisScanEval);
-
-void BM_FullDiagnosisStringFoci(benchmark::State& state) {
-  // Same search on the retained string-based focus path (the oracle mode
-  // the interned search is property-tested against).
-  const auto& view = shared_view();
-  pc::PcConfig config;
-  config.interned_foci = false;
-  for (auto _ : state) {
-    pc::PerformanceConsultant consultant(view, config);
-    benchmark::DoNotOptimize(consultant.run());
-  }
-}
-BENCHMARK(BM_FullDiagnosisStringFoci);
 
 void BM_WildcardFarmSimulation(benchmark::State& state) {
   apps::AppParams p;

@@ -75,9 +75,17 @@ telemetry::TraceFormat parse_trace_format(const Args& args) {
   return *fmt;
 }
 
-/// Build the trace for `run`/`report`: a registered app by name, or a
-/// JSON workload via --workload. `tracer`, when given, records the
-/// simulation phase of a --workload run.
+/// --duration and --node-base for a registered-app run.
+apps::AppParams app_params(const Args& args, double default_duration) {
+  apps::AppParams params;
+  params.target_duration = args.option_or("duration", default_duration);
+  params.node_base = args.option_or("node-base", 1);
+  return params;
+}
+
+/// Build the trace for `report`, or for a `run`/`variants` --workload: a
+/// registered app by name, or a JSON workload via --workload. `tracer`,
+/// when given, records the simulation phase of a --workload run.
 simmpi::ExecutionTrace make_trace(const Args& args, std::string& name_out,
                                   double default_duration,
                                   telemetry::Tracer* tracer = nullptr) {
@@ -87,31 +95,28 @@ simmpi::ExecutionTrace make_trace(const Args& args, std::string& name_out,
     return simmpi::Simulator(w.network).run(w.program, tracer);
   }
   name_out = args.positional(0, "application name (or --workload FILE)");
-  apps::AppParams params;
-  params.target_duration = args.option_or("duration", default_duration);
-  params.node_base = args.option_or("node-base", 1);
-  return apps::run_app(name_out, params);
+  return apps::run_app(name_out, app_params(args, default_duration));
 }
 
-/// Build the session for `run`/`variants`. Registered-app runs go through
-/// the trace-snapshot cache (on by default; --no-trace-cache opts out,
-/// --trace-cache DIR relocates it) so repeated diagnoses of one app
-/// configuration reload the trace instead of re-simulating. Workload runs
-/// keep the direct simulate path (and the optional simulation tracer).
+/// Build the session for `run`/`variants`. Registered-app runs are built
+/// by the session itself, which times their record/simulate/load phases,
+/// and go through the trace-snapshot cache (on by default; --no-trace-cache
+/// opts out, --trace-cache DIR relocates it) so repeated diagnoses of one
+/// app configuration reload the trace instead of re-simulating. Workload
+/// runs keep the direct simulate path (and the optional simulation tracer).
 std::unique_ptr<core::DiagnosisSession> make_session(const Args& args, pc::PcConfig config,
                                                      double default_duration,
                                                      telemetry::Tracer* tracer = nullptr) {
-  if (!args.option("workload") && !args.has_flag("no-trace-cache")) {
-    const std::string app = args.positional(0, "application name (or --workload FILE)");
-    apps::AppParams params;
-    params.target_duration = args.option_or("duration", default_duration);
-    params.node_base = args.option_or("node-base", 1);
-    config.trace_cache_dir = args.option_or("trace-cache", std::string(kDefaultTraceCacheDir));
-    return std::make_unique<core::DiagnosisSession>(app, params, std::move(config));
+  if (args.option("workload")) {
+    std::string name;
+    simmpi::ExecutionTrace trace = make_trace(args, name, default_duration, tracer);
+    return std::make_unique<core::DiagnosisSession>(std::move(trace), std::move(config), name);
   }
-  std::string app;
-  simmpi::ExecutionTrace trace = make_trace(args, app, default_duration, tracer);
-  return std::make_unique<core::DiagnosisSession>(std::move(trace), std::move(config), app);
+  if (!args.has_flag("no-trace-cache"))
+    config.trace_cache_dir = args.option_or("trace-cache", std::string(kDefaultTraceCacheDir));
+  return std::make_unique<core::DiagnosisSession>(
+      args.positional(0, "application name (or --workload FILE)"),
+      app_params(args, default_duration), std::move(config));
 }
 
 /// One status line for cache-enabled sessions: hit or miss, and where.
@@ -240,7 +245,6 @@ int cmd_run(const Args& args, std::ostream& out) {
 int cmd_variants(const Args& args, std::ostream& out) {
   pc::PcConfig config;
   config.threshold_override = args.option_or("threshold", -1.0);
-  if (args.has_flag("string-foci")) config.interned_foci = false;
 
   auto session_ptr = make_session(args, config, 1500.0);
   core::DiagnosisSession& session = *session_ptr;
@@ -842,7 +846,7 @@ const Command kCommands[] = {
     {"variants",
      cmd_variants,
      {"duration", "node-base", "workload", "threads", "threshold", "version", "trace-cache"},
-     {"string-foci", "no-trace-cache"}},
+     {"no-trace-cache"}},
     {"list", cmd_list, {"store", "app", "version", "machine", "scenario"}, {}},
     {"migrate", cmd_migrate, {"store", "jobs"}, {}},
     {"serve",

@@ -99,8 +99,6 @@ telemetry::PerfRecord DiagnosisSession::make_perf_record(const std::string& vers
   rec.build = telemetry::build_id();
   rec.config["threshold_override"] = std::to_string(config_.threshold_override);
   rec.config["cost_limit"] = std::to_string(config_.cost_limit);
-  rec.config["batched_eval"] = config_.batched_eval ? "1" : "0";
-  rec.config["interned_foci"] = config_.interned_foci ? "1" : "0";
   rec.config["trace_cache"] = config_.trace_cache_dir.empty() ? "0" : "1";
   rec.registry = registry_;
   return rec;

@@ -11,7 +11,7 @@
 //  * the view's FocusTable is append-only and internally synchronized, so
 //    concurrent consultants intern into one shared table (ids agree across
 //    variants, memoized names/refinements are computed once);
-//  * the view's compiled-filter caches are mutex-guarded.
+//  * the view's compiled-filter cache is mutex-guarded.
 // Everything else (SHG, instrumentation, tracer) is per-consultant.
 //
 // Determinism: outcomes are stored by input index and the combined

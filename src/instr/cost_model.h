@@ -9,7 +9,7 @@
 
 #include "metrics/metric.h"
 #include "metrics/trace_view.h"
-#include "resources/focus.h"
+#include "resources/focus_table.h"
 
 namespace histpc::instr {
 
@@ -26,12 +26,8 @@ struct CostModel {
   /// (per-message filtering at each synchronization point).
   double sync_constrained_multiplier = 1.5;
 
-  /// Predicted cost fraction of a probe for (metric : focus).
-  double probe_cost(const metrics::TraceView& view, const resources::Focus& focus,
-                    metrics::MetricKind metric) const;
-
-  /// Id twin: same value, part depths read from the view's FocusTable
-  /// instead of splitting part strings.
+  /// Predicted cost fraction of a probe for (metric : focus), with part
+  /// depths read from the view's FocusTable.
   double probe_cost(const metrics::TraceView& view, resources::FocusId focus,
                     metrics::MetricKind metric) const;
 };

@@ -4,24 +4,19 @@
 // insertion latency), and the sum of active probe costs is the load the
 // Performance Consultant's expansion throttle watches.
 //
-// Two metric-evaluation engines service the probes:
-//  * batched (default): all probes share one MetricBatch — each rank's new
-//    intervals are visited once per advance and fanned out to every
-//    matching probe;
-//  * per-instance scan: one MetricInstance per probe, each walking its own
-//    cursors. Kept as the reference oracle; the batched engine is
-//    property-tested bit-identical against it.
+// All probes share one MetricBatch: each rank's new intervals are visited
+// once per advance and fanned out to every matching probe.
+// MetricInstance, one scan per metric-focus pair, is the reference the
+// batch is property-tested bit-identical against
+// (tests/metric_engine_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "instr/cost_model.h"
 #include "metrics/metric_batch.h"
-#include "metrics/metric_instance.h"
 #include "telemetry/tracer.h"
 
 namespace histpc::instr {
@@ -43,21 +38,17 @@ class InstrumentationManager {
   /// read high by factor * (current total cost). Zero (the default) gives
   /// ideal measurements; the cost ceiling exists precisely to keep this
   /// term small on a real machine.
-  /// `batched` selects the batched engine (one interval pass fanned out to
-  /// all probes) over the reference per-instance scan; values are
-  /// bit-identical. `tracer`, when given, receives probe_insert/probe_remove
-  /// events and instrumentation counters; the batched engine reports its
-  /// per-tick evaluation volume into the same registry. Null = no telemetry.
+  /// `tracer`, when given, receives probe_insert/probe_remove events and
+  /// instrumentation counters; the metric batch reports its per-tick
+  /// evaluation volume into the same registry. Null = no telemetry.
   InstrumentationManager(const metrics::TraceView& view, CostModel cost_model,
                          double insertion_latency, double perturbation_factor = 0.0,
-                         bool batched = true, telemetry::Tracer* tracer = nullptr);
+                         telemetry::Tracer* tracer = nullptr);
 
-  /// Request insertion of a probe for (metric : focus) at time `now`. Data
-  /// collection begins at now + insertion latency.
-  ProbeId insert(metrics::MetricKind metric, const resources::Focus& focus, double now);
-
-  /// Id twin: the focus is an id in the view's FocusTable. No focus-name
-  /// string is built unless event tracing is on.
+  /// Request insertion of a probe for (metric : focus) at time `now`; the
+  /// focus is an id in the view's FocusTable. Data collection begins at
+  /// now + insertion latency. No focus-name string is built unless event
+  /// tracing is on.
   ProbeId insert(metrics::MetricKind metric, resources::FocusId focus, double now);
 
   /// Delete a probe, releasing its cost immediately.
@@ -72,8 +63,6 @@ class InstrumentationManager {
   ProbeSample read(ProbeId id) const;
 
   double probe_cost(ProbeId id) const;
-  /// Predicted cost of a probe that has not been inserted yet.
-  double predict_cost(metrics::MetricKind metric, const resources::Focus& focus) const;
 
   /// Sum of active probe costs (the expansion throttle input).
   double total_cost() const { return total_cost_; }
@@ -86,14 +75,8 @@ class InstrumentationManager {
   double insertion_latency() const { return insertion_latency_; }
 
  private:
-  /// Common insertion tail once the filter, cost, and (only-if-tracing)
-  /// focus name have been resolved by the string or id front end.
-  ProbeId insert_probe(metrics::MetricKind metric, const metrics::FocusFilter& filter,
-                       double cost, double now, std::string focus_name_if_tracing);
-
   struct Probe {
-    std::optional<metrics::MetricInstance> instance;  ///< scan engine only
-    metrics::MetricBatch::SlotId slot = -1;           ///< batched engine only
+    metrics::MetricBatch::SlotId slot = -1;
     metrics::MetricKind metric = metrics::MetricKind::CpuTime;
     std::string focus_name;  ///< populated only while event tracing is on
     int selected_ranks = 0;
@@ -106,7 +89,7 @@ class InstrumentationManager {
   double insertion_latency_;
   double perturbation_factor_;
   telemetry::Tracer* tracer_ = nullptr;
-  std::unique_ptr<metrics::MetricBatch> batch_;  ///< null = per-instance scan
+  metrics::MetricBatch batch_;
   std::vector<Probe> probes_;
   double last_time_ = 0.0;  ///< most recent insert/advance time (for removals)
   double total_cost_ = 0.0;

@@ -226,15 +226,6 @@ FocusFilter TraceView::compile(const Focus& focus) const {
   return filter;
 }
 
-const FocusFilter& TraceView::compiled(const Focus& focus) const {
-  std::string key = focus.name();
-  std::lock_guard<std::mutex> lock(filter_mu_);
-  auto it = filter_cache_.find(key);
-  if (it == filter_cache_.end())
-    it = filter_cache_.emplace(std::move(key), compile(focus)).first;
-  return it->second;
-}
-
 const FocusFilter& TraceView::compiled(resources::FocusId focus) const {
   std::lock_guard<std::mutex> lock(filter_mu_);
   const auto idx = static_cast<std::size_t>(focus);
@@ -242,6 +233,10 @@ const FocusFilter& TraceView::compiled(resources::FocusId focus) const {
   if (!filters_by_id_[idx])
     filters_by_id_[idx] = std::make_unique<FocusFilter>(compile(foci_->to_focus(focus)));
   return *filters_by_id_[idx];
+}
+
+const FocusFilter& TraceView::compiled(const Focus& focus) const {
+  return compiled(foci_->intern(focus));
 }
 
 double TraceView::query(MetricKind metric, const Focus& focus, double t0, double t1) const {

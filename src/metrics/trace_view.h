@@ -1,7 +1,7 @@
 // TraceView: the bridge between a simulated execution and the diagnosis
 // layers. It derives the program's resource hierarchies from the trace,
-// compiles foci into fast per-interval filters (cached by canonical focus
-// name), and answers window queries through a columnar interval index.
+// compiles foci into fast per-interval filters (cached by interned focus
+// id), and answers window queries through a columnar interval index.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +91,7 @@ class TraceView {
 
   /// The focus interner over this view's (immutable) resource db. Returned
   /// non-const from a const view: the table is internally synchronized and
-  /// append-only, like the filter caches (interning is memoization, not
+  /// append-only, like the filter cache (interning is memoization, not
   /// observable mutation). Shared by every consultant — and every parallel
   /// variant — diagnosing this view.
   resources::FocusTable& foci() const { return *foci_; }
@@ -101,15 +101,14 @@ class TraceView {
   /// run were not fully mapped).
   FocusFilter compile(const resources::Focus& focus) const;
 
-  /// Cached compile: one filter per canonical focus name for the lifetime
-  /// of the view. The returned reference is stable (never invalidated by
-  /// later calls). Thread-safe: both filter caches share one mutex, so
-  /// parallel variant runs may compile concurrently.
-  const FocusFilter& compiled(const resources::Focus& focus) const;
-
-  /// Id-keyed twin of compiled(): no name materialization, one vector slot
-  /// per FocusId. Same stability and thread-safety guarantees.
+  /// Cached compile: one filter per FocusId for the lifetime of the view,
+  /// with no name materialization. The returned reference is stable (never
+  /// invalidated by later calls). Thread-safe, so parallel variant runs may
+  /// compile concurrently.
   const FocusFilter& compiled(resources::FocusId focus) const;
+
+  /// compiled(foci().intern(focus)): the same cache entry as the id.
+  const FocusFilter& compiled(const resources::Focus& focus) const;
 
   /// Direct whole-window query: metric seconds accumulated in [t0, t1).
   /// Served by the interval index in O(log n) per rank.
@@ -165,11 +164,10 @@ class TraceView {
   /// Focus interner over db_. unique_ptr: the table is non-movable and
   /// snapshots hierarchy pointers, which stay valid if the view moves.
   std::unique_ptr<resources::FocusTable> foci_;
-  /// Guards both filter caches (compiled() by name and by id).
+  /// Guards filters_by_id_.
   mutable std::mutex filter_mu_;
-  /// Keyed by canonical focus name; node-based map keeps references stable.
-  mutable std::unordered_map<std::string, FocusFilter> filter_cache_;
-  /// Indexed by FocusId; unique_ptr slots keep references stable.
+  /// The compiled() cache, indexed by FocusId; unique_ptr slots keep
+  /// references stable.
   mutable std::vector<std::unique_ptr<FocusFilter>> filters_by_id_;
 };
 

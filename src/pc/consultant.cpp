@@ -6,11 +6,8 @@
 #include <stdexcept>
 
 #include "util/log.h"
-#include "util/strings.h"
 
 namespace histpc::pc {
-
-using resources::Focus;
 
 double DiagnosisResult::time_to_find(const std::vector<BottleneckReport>& reference,
                                      double percent) const {
@@ -53,34 +50,27 @@ util::Json TelemetrySummary::to_json() const {
 PerformanceConsultant::PerformanceConsultant(const metrics::TraceView& view, PcConfig config,
                                              DirectiveSet directives)
     : view_(view),
+      foci_(view.foci()),
       config_(std::move(config)),
       directives_(std::move(directives)),
       tracer_(config_.trace_sink),
       instr_(view, config_.cost_model, config_.insertion_latency,
-             config_.perturbation_factor,
-             config_.batched_eval, &tracer_),
-      shg_(config_.hypotheses, config_.interned_foci ? &view.foci() : nullptr) {
+             config_.perturbation_factor, &tracer_),
+      shg_(config_.hypotheses, foci_) {
   if (config_.tick <= 0 || config_.min_observation <= 0)
     throw std::invalid_argument("PcConfig: tick and min_observation must be positive");
   directives_.apply_mappings();
   // Built after apply_mappings(): the index snapshots the directive
   // strings and must see the rewritten resource names.
   directive_index_ = DirectiveIndex(directives_);
-  if (config_.interned_foci) {
-    foci_ = &view_.foci();
-    directive_index_.bind(*foci_, config_.hypotheses);
-    sync_idx_ = view_.resources().hierarchy_index(resources::kSyncObjectHierarchy);
-    scope_pids_.assign(config_.hypotheses.size(), resources::kNoPart);
-    for (std::size_t i = 0; i < config_.hypotheses.size(); ++i) {
-      const Hypothesis& h = config_.hypotheses.at(static_cast<int>(i));
-      if (!h.sync_scope.empty() && sync_idx_ >= 0)
-        scope_pids_[i] =
-            foci_->part_id(static_cast<std::size_t>(sync_idx_), h.sync_scope);
-    }
-  }
+  directive_index_.bind(foci_, config_.hypotheses);
+  sync_idx_ = view_.resources().hierarchy_index(resources::kSyncObjectHierarchy);
+  scope_pids_.assign(config_.hypotheses.size(), resources::kNoPart);
   thresholds_by_hyp_.reserve(config_.hypotheses.size());
   for (std::size_t i = 0; i < config_.hypotheses.size(); ++i) {
     const Hypothesis& h = config_.hypotheses.at(static_cast<int>(i));
+    if (!h.sync_scope.empty() && sync_idx_ >= 0)
+      scope_pids_[i] = foci_.part_id(static_cast<std::size_t>(sync_idx_), h.sync_scope);
     double t = h.default_threshold;
     if (config_.threshold_override > 0) t = config_.threshold_override;
     if (auto d = directive_index_.threshold_for(h.name)) t = *d;
@@ -105,47 +95,24 @@ void PerformanceConsultant::trace_event(telemetry::EventKind kind, double t, int
 }
 
 void PerformanceConsultant::note_prune_hit(DirectiveSet::PruneKind kind, int hyp,
-                                           const resources::Focus& focus, double now) {
+                                           resources::FocusId fid, double now) {
   ++pruned_candidates_;
   const bool pair = kind == DirectiveSet::PruneKind::Pair;
   tracer_.registry().add(pair ? "pc.prune_hit.pair" : "pc.prune_hit.subtree");
   if (tracer_.tracing())
-    trace_event(telemetry::EventKind::PruneHit, now, hyp, focus.name(), 0.0, 0.0,
+    trace_event(telemetry::EventKind::PruneHit, now, hyp, foci_.name(fid), 0.0, 0.0,
                 pair ? "pair" : "subtree");
 }
 
-void PerformanceConsultant::note_prune_hit_id(DirectiveSet::PruneKind kind, int hyp,
-                                              resources::FocusId fid, double now) {
-  ++pruned_candidates_;
-  const bool pair = kind == DirectiveSet::PruneKind::Pair;
-  tracer_.registry().add(pair ? "pc.prune_hit.pair" : "pc.prune_hit.subtree");
-  if (tracer_.tracing())
-    trace_event(telemetry::EventKind::PruneHit, now, hyp, foci_->name(fid), 0.0, 0.0,
-                pair ? "pair" : "subtree");
-}
-
-std::optional<Focus> PerformanceConsultant::probe_focus(int hyp, const Focus& focus) const {
-  const Hypothesis& h = config_.hypotheses.at(hyp);
-  if (h.sync_scope.empty()) return focus;
-  const int sync_idx =
-      view_.resources().hierarchy_index(resources::kSyncObjectHierarchy);
-  if (sync_idx < 0 || static_cast<std::size_t>(sync_idx) >= focus.size()) return focus;
-  const std::string& part = focus.part(static_cast<std::size_t>(sync_idx));
-  if (util::is_path_prefix(h.sync_scope, part)) return focus;  // already inside the scope
-  if (util::is_path_prefix(part, h.sync_scope))                // root or an ancestor: narrow it
-    return focus.with_part(static_cast<std::size_t>(sync_idx), h.sync_scope);
-  return std::nullopt;  // disjoint: the pair can never be true
-}
-
-std::optional<resources::FocusId> PerformanceConsultant::probe_focus_id(
+std::optional<resources::FocusId> PerformanceConsultant::probe_focus(
     int hyp, resources::FocusId focus) const {
   const resources::PartId scope = scope_pids_[static_cast<std::size_t>(hyp)];
   if (scope == resources::kNoPart || sync_idx_ < 0) return focus;
   const auto uidx = static_cast<std::size_t>(sync_idx_);
-  const resources::PartId part = foci_->part(focus, uidx);
-  if (foci_->part_within(uidx, part, scope)) return focus;  // already inside the scope
-  if (foci_->part_within(uidx, scope, part))                // root or an ancestor: narrow it
-    return foci_->with_part(focus, uidx, scope);
+  const resources::PartId part = foci_.part(focus, uidx);
+  if (foci_.part_within(uidx, part, scope)) return focus;  // already inside the scope
+  if (foci_.part_within(uidx, scope, part))                // root or an ancestor: narrow it
+    return foci_.with_part(focus, uidx, scope);
   return std::nullopt;  // disjoint: the pair can never be true
 }
 
@@ -157,30 +124,16 @@ void PerformanceConsultant::seed_high_priority_nodes() {
       HISTPC_LOG(Debug) << "skipping priority directive for unknown hypothesis " << d.hypothesis;
       continue;
     }
-    int id = -1;
-    if (foci_) {
-      auto fid = foci_->parse(d.focus);
-      if (!fid) {
-        // Unmapped or version-specific resource; the paper's mapper handles
-        // most of these, the remainder are silently dropped as in Paradyn.
-        HISTPC_LOG(Debug) << "skipping priority directive with unresolvable focus "
-                          << d.focus;
-        continue;
-      }
-      if (!probe_focus_id(*hyp, *fid)) continue;  // scope-incompatible pair
-      if (directive_index_.is_pruned(*hyp, *fid)) continue;
-      id = shg_.add_node(*hyp, *fid, shg_.root(), 0.0);
-    } else {
-      auto focus = Focus::parse(d.focus, view_.resources());
-      if (!focus) {
-        HISTPC_LOG(Debug) << "skipping priority directive with unresolvable focus "
-                          << d.focus;
-        continue;
-      }
-      if (!probe_focus(*hyp, *focus)) continue;  // scope-incompatible pair
-      if (directive_index_.is_pruned(d.hypothesis, *focus)) continue;
-      id = shg_.add_node(*hyp, *focus, shg_.root(), 0.0);
+    auto fid = foci_.parse(d.focus);
+    if (!fid) {
+      // Unmapped or version-specific resource; the paper's mapper handles
+      // most of these, the remainder are silently dropped as in Paradyn.
+      HISTPC_LOG(Debug) << "skipping priority directive with unresolvable focus " << d.focus;
+      continue;
     }
+    if (!probe_focus(*hyp, *fid)) continue;  // scope-incompatible pair
+    if (directive_index_.is_pruned(*hyp, *fid)) continue;
+    const int id = shg_.add_node(*hyp, *fid, shg_.root(), 0.0);
     ShgNode& n = shg_.node(id);
     if (n.status != NodeStatus::Pending || n.probe != instr::kNoProbe) continue;  // deduped
     n.priority = Priority::High;
@@ -196,26 +149,9 @@ void PerformanceConsultant::seed_high_priority_nodes() {
 }
 
 void PerformanceConsultant::seed_top_level() {
-  if (foci_) {
-    const resources::FocusId whole = foci_->whole_program();
-    for (int hyp : config_.hypotheses.roots()) {
-      if (auto kind = directive_index_.prune_match(hyp, whole);
-          kind != DirectiveSet::PruneKind::None) {
-        note_prune_hit_id(kind, hyp, whole, 0.0);
-        continue;
-      }
-      int id = shg_.add_node(hyp, whole, shg_.root(), 0.0);
-      ShgNode& n = shg_.node(id);
-      if (n.status == NodeStatus::Pending && n.probe == instr::kNoProbe) {
-        n.priority = directive_index_.priority_of(hyp, whole);
-        enqueue(id);
-      }
-    }
-    return;
-  }
-  const Focus whole = Focus::whole_program(view_.resources());
+  const resources::FocusId whole = foci_.whole_program();
   for (int hyp : config_.hypotheses.roots()) {
-    if (auto kind = directive_index_.prune_match(config_.hypotheses.at(hyp).name, whole);
+    if (auto kind = directive_index_.prune_match(hyp, whole);
         kind != DirectiveSet::PruneKind::None) {
       note_prune_hit(kind, hyp, whole, 0.0);
       continue;
@@ -223,7 +159,7 @@ void PerformanceConsultant::seed_top_level() {
     int id = shg_.add_node(hyp, whole, shg_.root(), 0.0);
     ShgNode& n = shg_.node(id);
     if (n.status == NodeStatus::Pending && n.probe == instr::kNoProbe) {
-      n.priority = directive_index_.priority_of(config_.hypotheses.at(hyp).name, n.focus_name);
+      n.priority = directive_index_.priority_of(hyp, whole);
       enqueue(id);
     }
   }
@@ -253,11 +189,7 @@ void PerformanceConsultant::activate(int id, double now) {
   const Hypothesis& h = config_.hypotheses.at(n.hyp);
   // Node creation rejects scope-incompatible pairs, so the adjusted focus
   // always exists here.
-  if (foci_) {
-    n.probe = instr_.insert(h.metric, *probe_focus_id(n.hyp, n.fid), now);
-  } else {
-    n.probe = instr_.insert(h.metric, *probe_focus(n.hyp, n.focus), now);
-  }
+  n.probe = instr_.insert(h.metric, *probe_focus(n.hyp, n.fid), now);
   n.status = NodeStatus::Active;
   n.activate_time = now;
   active_.push_back(id);
@@ -301,57 +233,26 @@ void PerformanceConsultant::activate_pending(double now) {
   }
 }
 
-void PerformanceConsultant::consider_candidate(int hyp, Focus&& focus, int parent,
+void PerformanceConsultant::consider_candidate(int hyp, resources::FocusId fid, int parent,
                                                double now) {
-  const std::string& hyp_name = config_.hypotheses.at(hyp).name;
-  if (!probe_focus(hyp, focus)) return;  // scope-incompatible, never true
-  if (auto kind = directive_index_.prune_match(hyp_name, focus);
-      kind != DirectiveSet::PruneKind::None) {
-    note_prune_hit(kind, hyp, focus, now);
-    return;
-  }
-  if (config_.respect_discovery_times) {
-    double available = 0.0;
-    for (const std::string& part : focus.parts())
-      available = std::max(available, view_.discovery_time(part));
-    if (available > now) {
-      // Not yet observable: retried once the resource has appeared.
-      if (std::isfinite(available))
-        deferred_.push_back({hyp, std::move(focus), resources::kNoFocus, parent, available});
-      return;
-    }
-  }
-  int cid = shg_.add_node(hyp, std::move(focus), parent, now);
-  ShgNode& cn = shg_.node(cid);
-  if (cn.status == NodeStatus::Pending && cn.probe == instr::kNoProbe &&
-      cn.enqueue_time == now && cn.parents.size() == 1 && cn.parents.front() == parent) {
-    // Freshly created by this refinement: assign priority and queue it.
-    cn.priority = directive_index_.priority_of(hyp_name, cn.focus_name);
-    enqueue(cid);
-  }
-}
-
-void PerformanceConsultant::consider_candidate_id(int hyp, resources::FocusId fid,
-                                                  int parent, double now) {
-  if (!probe_focus_id(hyp, fid)) return;  // scope-incompatible, never true
+  if (!probe_focus(hyp, fid)) return;  // scope-incompatible, never true
   if (auto kind = directive_index_.prune_match(hyp, fid);
       kind != DirectiveSet::PruneKind::None) {
-    note_prune_hit_id(kind, hyp, fid, now);
+    note_prune_hit(kind, hyp, fid, now);
     return;
   }
   if (config_.respect_discovery_times) {
     double available = 0.0;
-    for (std::size_t h = 0; h < foci_->num_hierarchies(); ++h) {
-      const resources::PartId pid = foci_->part(fid, h);
+    for (std::size_t h = 0; h < foci_.num_hierarchies(); ++h) {
+      const resources::PartId pid = foci_.part(fid, h);
       const resources::ResourceId rid = resources::FocusTable::part_resource(pid);
       available = std::max(available, rid != resources::kNoResource
                                           ? view_.discovery_time(h, rid)
-                                          : view_.discovery_time(foci_->part_name(h, pid)));
+                                          : view_.discovery_time(foci_.part_name(h, pid)));
     }
     if (available > now) {
       // Not yet observable: retried once the resource has appeared.
-      if (std::isfinite(available))
-        deferred_.push_back({hyp, Focus(), fid, parent, available});
+      if (std::isfinite(available)) deferred_.push_back({hyp, fid, parent, available});
       return;
     }
   }
@@ -373,12 +274,7 @@ void PerformanceConsultant::release_discovered(double now) {
     (c.available_at <= now ? ripe : still_waiting).push_back(std::move(c));
   }
   deferred_ = std::move(still_waiting);
-  for (auto& c : ripe) {
-    if (foci_)
-      consider_candidate_id(c.hyp, c.fid, c.parent, now);
-    else
-      consider_candidate(c.hyp, std::move(c.focus), c.parent, now);
-  }
+  for (const auto& c : ripe) consider_candidate(c.hyp, c.fid, c.parent, now);
 }
 
 void PerformanceConsultant::refine(int id, double now) {
@@ -389,25 +285,15 @@ void PerformanceConsultant::refine(int id, double now) {
   if (tracer_.tracing())
     trace_event(telemetry::EventKind::Refine, now, parent_hyp, shg_.focus_name(id));
 
-  if (foci_) {
-    const resources::FocusId parent_fid = shg_.node(id).fid;
-    // Expansion kind 1: a more specific focus, same hypothesis. The
-    // refinement list is memoized in the table; the reference is stable
-    // across the interns consider_candidate_id performs.
-    for (resources::FocusId child : foci_->refinements(parent_fid))
-      consider_candidate_id(parent_hyp, child, id, now);
-    // Expansion kind 2: a more specific hypothesis, same focus.
-    for (int child_hyp : config_.hypotheses.at(parent_hyp).children)
-      consider_candidate_id(child_hyp, parent_fid, id, now);
-    return;
-  }
-  const Focus parent_focus = shg_.node(id).focus;
-  // Expansion kind 1: a more specific focus, same hypothesis.
-  for (Focus& child : parent_focus.refinements(view_.resources()))
-    consider_candidate(parent_hyp, std::move(child), id, now);
+  const resources::FocusId parent_fid = shg_.node(id).fid;
+  // Expansion kind 1: a more specific focus, same hypothesis. The
+  // refinement list is memoized in the table; the reference is stable
+  // across the interns consider_candidate performs.
+  for (resources::FocusId child : foci_.refinements(parent_fid))
+    consider_candidate(parent_hyp, child, id, now);
   // Expansion kind 2: a more specific hypothesis, same focus.
   for (int child_hyp : config_.hypotheses.at(parent_hyp).children)
-    consider_candidate(child_hyp, Focus(parent_focus), id, now);
+    consider_candidate(child_hyp, parent_fid, id, now);
 }
 
 void PerformanceConsultant::conclude(int id, const instr::ProbeSample& sample, double now) {

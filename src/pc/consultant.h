@@ -79,18 +79,6 @@ struct PcConfig {
   /// time. Off by default (resources known up front, as when a static
   /// analysis pre-populated the hierarchies).
   bool respect_discovery_times = false;
-  /// Metric-evaluation engine. Batched (default) services every active
-  /// probe with one pass over each rank's new intervals per tick; off =
-  /// the reference per-instance scan. Results are bit-identical
-  /// (property-tested); the scan engine is kept as the oracle.
-  bool batched_eval = true;
-  /// Run the search on interned FocusIds (the view's FocusTable): SHG
-  /// keying, directive lookups, refinement expansion, and instrumentation
-  /// requests become integer operations, and focus names are materialized
-  /// only for results, logs, and trace events. Off = the string-based
-  /// reference path, kept as the property-tested oracle — both modes
-  /// produce identical DiagnosisResults (tests/focus_intern_test.cpp).
-  bool interned_foci = true;
   /// Structured-event destination (see telemetry/tracer.h). Null — the
   /// default — discards events at the cost of one pointer test per
   /// decision; counters and the DiagnosisResult telemetry summary are
@@ -193,10 +181,9 @@ class PerformanceConsultant {
   /// The focus actually instrumented for a node: the node's focus with the
   /// hypothesis's implicit SyncObject scope applied. nullopt when the
   /// focus's SyncObject part lies outside the scope (incompatible pair).
-  std::optional<resources::Focus> probe_focus(int hyp, const resources::Focus& focus) const;
-  /// Id twin (interned mode): pure PartId comparisons; narrowing may
-  /// intern a focus whose SyncObject part is foreign to the db.
-  std::optional<resources::FocusId> probe_focus_id(int hyp, resources::FocusId focus) const;
+  /// Pure PartId comparisons; narrowing may intern a focus whose
+  /// SyncObject part is foreign to the db.
+  std::optional<resources::FocusId> probe_focus(int hyp, resources::FocusId focus) const;
   void seed_high_priority_nodes();
   void seed_top_level();
   void enqueue(int id);
@@ -204,9 +191,7 @@ class PerformanceConsultant {
   /// Create (or dedup) a candidate (hyp : focus) under `parent`, honoring
   /// scope compatibility, prunes, and discovery times. Undiscovered
   /// candidates are deferred and retried by release_discovered().
-  void consider_candidate(int hyp, resources::Focus&& focus, int parent, double now);
-  /// Id twin (interned mode): no name hashing, no part-string copies.
-  void consider_candidate_id(int hyp, resources::FocusId fid, int parent, double now);
+  void consider_candidate(int hyp, resources::FocusId fid, int parent, double now);
   void release_discovered(double now);
   void activate(int id, double now);
   void activate_pending(double now);
@@ -216,13 +201,11 @@ class PerformanceConsultant {
   bool search_finished() const;
   bool has_pending() const;
   DiagnosisResult build_result(double end_time);
-  /// Record a prune hit (registry counter + event) for a rejected candidate.
-  void note_prune_hit(DirectiveSet::PruneKind kind, int hyp,
-                      const resources::Focus& focus, double now);
-  /// Id twin: materializes the focus name only when an event sink is
+  /// Record a prune hit (registry counter + event) for a rejected
+  /// candidate. Materializes the focus name only when an event sink is
   /// attached (counters-only searches stay name-free).
-  void note_prune_hit_id(DirectiveSet::PruneKind kind, int hyp,
-                         resources::FocusId fid, double now);
+  void note_prune_hit(DirectiveSet::PruneKind kind, int hyp, resources::FocusId fid,
+                      double now);
   /// Emit a search event when tracing is on; no-op (and no string
   /// materialization) otherwise. `hyp` < 0 omits the hypothesis.
   void trace_event(telemetry::EventKind kind, double t, int hyp,
@@ -230,6 +213,9 @@ class PerformanceConsultant {
                    double threshold = 0.0, const char* detail = "");
 
   const metrics::TraceView& view_;
+  /// The view's FocusTable. It is internally synchronized, so several
+  /// consultants (parallel variant runs) share it safely.
+  resources::FocusTable& foci_;
   PcConfig config_;
   DirectiveSet directives_;
   /// Built once from directives_ after apply_mappings(); answers the
@@ -243,12 +229,7 @@ class PerformanceConsultant {
   instr::InstrumentationManager instr_;
   SearchHistoryGraph shg_;
 
-  /// Interned-mode state (config_.interned_foci): the view's FocusTable —
-  /// null in string (oracle) mode. The table is owned by the TraceView and
-  /// internally synchronized, so several consultants (parallel variant
-  /// runs) share it safely.
-  resources::FocusTable* foci_ = nullptr;
-  /// Index of the SyncObject hierarchy (for probe_focus_id), -1 if absent.
+  /// Index of the SyncObject hierarchy (for probe_focus), -1 if absent.
   int sync_idx_ = -1;
   /// Per-hypothesis interned sync_scope PartId (kNoPart when unscoped).
   std::vector<resources::PartId> scope_pids_;
@@ -258,8 +239,7 @@ class PerformanceConsultant {
 
   struct DeferredCandidate {
     int hyp;
-    resources::Focus focus;      ///< string mode (empty in interned mode)
-    resources::FocusId fid;      ///< interned mode (kNoFocus in string mode)
+    resources::FocusId fid;
     int parent;
     double available_at;
   };

@@ -20,77 +20,49 @@ const char* node_status_name(NodeStatus s) {
 }
 
 SearchHistoryGraph::SearchHistoryGraph(const HypothesisSet& hyps,
-                                       resources::FocusTable* foci)
+                                       const resources::FocusTable& foci)
     : hyps_(hyps), foci_(foci) {
   ShgNode root;
   root.id = 0;
   root.hyp = -1;
-  root.focus_name = "<WholeProgram>";
   root.status = NodeStatus::True;  // the virtual root is trivially true
   root.conclude_time = 0.0;
   root.first_true_time = 0.0;
   nodes_.push_back(std::move(root));
 }
 
-int SearchHistoryGraph::find(int hyp, const std::string& focus_name) const {
-  if (foci_) {
-    auto fid = foci_->parse(focus_name);
-    return fid ? find(hyp, *fid) : -1;
-  }
-  auto it = index_.find({hyp, focus_name});
+int SearchHistoryGraph::find(int hyp, resources::FocusId fid) const {
+  auto it = index_.find(key(hyp, fid));
   return it == index_.end() ? -1 : it->second;
 }
 
-int SearchHistoryGraph::find(int hyp, resources::FocusId fid) const {
-  auto it = id_index_.find(id_key(hyp, fid));
-  return it == id_index_.end() ? -1 : it->second;
-}
-
 const std::string& SearchHistoryGraph::focus_name(int id) const {
+  static const std::string kRootLabel = "<WholeProgram>";
   const ShgNode& n = node(id);
-  if (foci_ && n.fid != resources::kNoFocus) return foci_->name(n.fid);
-  return n.focus_name;
-}
-
-int SearchHistoryGraph::link_existing(int existing, int parent) {
-  // Converging refinement path: just add the edge (DAG property).
-  ShgNode& n = nodes_[static_cast<std::size_t>(existing)];
-  if (std::find(n.parents.begin(), n.parents.end(), parent) == n.parents.end()) {
-    n.parents.push_back(parent);
-    nodes_[static_cast<std::size_t>(parent)].children.push_back(existing);
-  }
-  return existing;
-}
-
-int SearchHistoryGraph::append_node(ShgNode&& n, int parent) {
-  n.id = static_cast<int>(nodes_.size());
-  n.parents.push_back(parent);
-  nodes_.push_back(std::move(n));
-  nodes_[static_cast<std::size_t>(parent)].children.push_back(static_cast<int>(nodes_.size()) - 1);
-  return static_cast<int>(nodes_.size()) - 1;
-}
-
-int SearchHistoryGraph::add_node(int hyp, resources::Focus focus, int parent, double now) {
-  if (foci_) return add_node(hyp, foci_->intern(focus), parent, now);
-  std::string name = focus.name();
-  if (int existing = find(hyp, name); existing >= 0) return link_existing(existing, parent);
-  ShgNode n;
-  n.hyp = hyp;
-  n.focus = std::move(focus);
-  n.focus_name = std::move(name);
-  n.enqueue_time = now;
-  index_.emplace(std::make_pair(hyp, n.focus_name), static_cast<int>(nodes_.size()));
-  return append_node(std::move(n), parent);
+  return n.fid == resources::kNoFocus ? kRootLabel : foci_.name(n.fid);
 }
 
 int SearchHistoryGraph::add_node(int hyp, resources::FocusId fid, int parent, double now) {
-  if (int existing = find(hyp, fid); existing >= 0) return link_existing(existing, parent);
+  const auto [it, inserted] = index_.emplace(key(hyp, fid), static_cast<int>(nodes_.size()));
+  if (!inserted) {
+    // Converging refinement path: just add the edge (DAG property).
+    const int existing = it->second;
+    ShgNode& n = nodes_[static_cast<std::size_t>(existing)];
+    if (std::find(n.parents.begin(), n.parents.end(), parent) == n.parents.end()) {
+      n.parents.push_back(parent);
+      nodes_[static_cast<std::size_t>(parent)].children.push_back(existing);
+    }
+    return existing;
+  }
   ShgNode n;
+  n.id = it->second;
   n.hyp = hyp;
   n.fid = fid;
   n.enqueue_time = now;
-  id_index_.emplace(id_key(hyp, fid), static_cast<int>(nodes_.size()));
-  return append_node(std::move(n), parent);
+  n.parents.push_back(parent);
+  nodes_.push_back(std::move(n));
+  nodes_[static_cast<std::size_t>(parent)].children.push_back(it->second);
+  return it->second;
 }
 
 std::string SearchHistoryGraph::hypothesis_name(int id) const {

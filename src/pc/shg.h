@@ -1,11 +1,10 @@
 // The Search History Graph (SHG): a DAG whose nodes are the
 // (hypothesis : focus) pairs the Performance Consultant has considered.
 // Different refinement paths can reach the same pair, so nodes are deduped
-// by (hypothesis, canonical focus name) and may have multiple parents.
+// by (hypothesis, interned focus) and may have multiple parents.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "instr/instrumentation.h"
 #include "pc/directives.h"
 #include "pc/hypothesis.h"
-#include "resources/focus.h"
 #include "resources/focus_table.h"
 
 namespace histpc::pc {
@@ -32,13 +30,8 @@ const char* node_status_name(NodeStatus s);
 struct ShgNode {
   int id = -1;
   int hyp = -1;  ///< index into the HypothesisSet; -1 for the virtual root
-  /// String mode only (interned mode leaves it empty and carries `fid`).
-  resources::Focus focus;
-  /// Canonical name in string mode (and the root's label in both modes);
-  /// interned mode resolves names lazily — use
-  /// SearchHistoryGraph::focus_name(id), not this field.
-  std::string focus_name;
-  /// Interned mode only; kNoFocus in string mode and for the virtual root.
+  /// The node's focus in the graph's FocusTable; kNoFocus for the virtual
+  /// root. Names resolve lazily through SearchHistoryGraph::focus_name(id).
   resources::FocusId fid = resources::kNoFocus;
   NodeStatus status = NodeStatus::Pending;
   Priority priority = Priority::Medium;
@@ -57,35 +50,22 @@ struct ShgNode {
 
 class SearchHistoryGraph {
  public:
-  /// With a null `foci` the graph runs in string mode: nodes keyed by
-  /// (hypothesis, canonical focus name), names materialized eagerly — the
-  /// property-tested oracle. With a table it runs in interned mode: nodes
-  /// keyed by (hypothesis, FocusId), names resolved lazily through the
-  /// table. The table must outlive the graph.
-  explicit SearchHistoryGraph(const HypothesisSet& hyps,
-                              resources::FocusTable* foci = nullptr);
+  /// Nodes are keyed by (hypothesis, FocusId) in `foci`, which resolves
+  /// their names lazily. The table must outlive the graph.
+  SearchHistoryGraph(const HypothesisSet& hyps, const resources::FocusTable& foci);
 
   /// The virtual (TopLevelHypothesis : WholeProgram) root, id 0.
   int root() const { return 0; }
 
-  const resources::FocusTable* foci() const { return foci_; }
-
-  /// Find a node by (hypothesis index, canonical focus name); -1 if absent.
-  /// Works in both modes (interned mode parses the name through the table).
-  int find(int hyp, const std::string& focus_name) const;
-
-  /// Find a node by (hypothesis index, focus id); interned mode only.
+  /// Find a node by (hypothesis index, focus id); -1 if absent.
   int find(int hyp, resources::FocusId fid) const;
 
-  /// Create (or return the existing) node and link it under `parent`.
-  /// Works in both modes (interned mode interns the focus first).
-  int add_node(int hyp, resources::Focus focus, int parent, double now);
-
-  /// Id twin; interned mode only. No name is materialized.
+  /// Create (or return the existing) node and link it under `parent`. No
+  /// name is materialized.
   int add_node(int hyp, resources::FocusId fid, int parent, double now);
 
-  /// Canonical focus name of a node, resolved per mode (string mode: the
-  /// stored name; interned mode: the table's memoized name).
+  /// Canonical focus name of a node (the table's memoized name;
+  /// "<WholeProgram>" for the virtual root).
   const std::string& focus_name(int id) const;
 
   ShgNode& node(int id) { return nodes_.at(static_cast<std::size_t>(id)); }
@@ -111,19 +91,16 @@ class SearchHistoryGraph {
   std::string to_dot() const;
 
  private:
-  /// Dedup key in interned mode: hypothesis index packed with the FocusId.
-  static std::uint64_t id_key(int hyp, resources::FocusId fid) {
+  /// Dedup key: hypothesis index packed with the FocusId.
+  static std::uint64_t key(int hyp, resources::FocusId fid) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hyp)) << 32) |
            static_cast<std::uint32_t>(fid);
   }
-  int link_existing(int existing, int parent);
-  int append_node(ShgNode&& n, int parent);
 
   const HypothesisSet& hyps_;
-  resources::FocusTable* foci_ = nullptr;  ///< null = string mode
+  const resources::FocusTable& foci_;
   std::vector<ShgNode> nodes_;
-  std::map<std::pair<int, std::string>, int> index_;        ///< string mode
-  std::unordered_map<std::uint64_t, int> id_index_;         ///< interned mode
+  std::unordered_map<std::uint64_t, int> index_;
 };
 
 }  // namespace histpc::pc

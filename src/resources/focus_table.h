@@ -7,10 +7,11 @@
 // stores each distinct focus once (one PartId per hierarchy) and memoizes
 // the expensive derived forms — canonical name, parse result, refinement
 // list — so SHG expansion and directive lookups become integer arithmetic.
-// The string-based Focus operations survive unchanged as the
-// property-tested oracle (tests/resources_test.cpp, tests/
-// focus_intern_test.cpp), mirroring the metric-engine and directive-index
-// scan-vs-index pattern.
+// The Performance Consultant searches on FocusIds only. The string-based
+// Focus operations remain for load-time text and results, and serve as
+// the oracle the table's operations are tested against
+// (tests/resources_test.cpp); the golden diagnoses
+// (tests/data/golden_diagnoses.jsonl) pin the search built on them.
 //
 // Ownership and lifetime (see docs/architecture.md):
 //  * The table snapshots the db's ResourceHierarchy pointers at

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/session.h"
 #include "metrics/block_index.h"
 #include "metrics/metric_batch.h"
 #include "metrics/metric_instance.h"
@@ -394,34 +393,6 @@ TEST_F(BlockMaxUnit, RebuiltFromSnapshotColumnsMatches) {
   for (MetricKind metric : kAllMetrics)
     EXPECT_DOUBLE_EQ(from_columns.query(filter, metric, 0.0, trace_.duration),
                      from_trace.query(filter, metric, 0.0, trace_.duration));
-}
-
-// ------------------------------------------- consultant end-to-end parity
-
-TEST(BlockMaxConsultant, DiagnosesIdenticalToScanEngine) {
-  // The batched engine now rides the block-skip fast path; diagnoses must
-  // still be bit-identical to the per-instance scan engine.
-  apps::AppParams params;
-  params.target_duration = 200.0;
-  pc::PcConfig batched;
-  batched.batched_eval = true;
-  pc::PcConfig scan;
-  scan.batched_eval = false;
-
-  core::DiagnosisSession a("poisson_b", params, batched);
-  core::DiagnosisSession b("poisson_b", params, scan);
-  const pc::DiagnosisResult ra = a.diagnose();
-  const pc::DiagnosisResult rb = b.diagnose();
-
-  EXPECT_EQ(ra.stats.pairs_tested, rb.stats.pairs_tested);
-  EXPECT_EQ(ra.stats.nodes_created, rb.stats.nodes_created);
-  ASSERT_EQ(ra.bottlenecks.size(), rb.bottlenecks.size());
-  for (std::size_t i = 0; i < ra.bottlenecks.size(); ++i) {
-    EXPECT_EQ(ra.bottlenecks[i].hypothesis, rb.bottlenecks[i].hypothesis);
-    EXPECT_EQ(ra.bottlenecks[i].focus, rb.bottlenecks[i].focus);
-    EXPECT_DOUBLE_EQ(ra.bottlenecks[i].t_found, rb.bottlenecks[i].t_found);
-    EXPECT_DOUBLE_EQ(ra.bottlenecks[i].fraction, rb.bottlenecks[i].fraction);
-  }
 }
 
 }  // namespace

@@ -194,10 +194,14 @@ TEST_F(CliTest, TraceCacheMissesThenHits) {
 }
 
 TEST_F(CliTest, NoTraceCacheSwitchesTheCacheOff) {
-  const std::string out =
-      run("run", {"poisson_c", "--duration", "300", "--no-trace-cache"});
+  const std::string out = run(
+      "run", {"poisson_c", "--duration", "300", "--no-trace-cache", "--store", store_dir_});
   EXPECT_EQ(out.find("trace cache:"), std::string::npos);
   EXPECT_NE(out.find("bottlenecks:"), std::string::npos);
+  // The simulation still shows up in the run's own performance record.
+  const std::string report =
+      run("perf-report", {"--app", "poisson_c", "--store", store_dir_});
+  EXPECT_NE(report.find("session.simulate"), std::string::npos) << report;
 }
 
 TEST_F(CliTest, TraceCacheQuarantinesCorruptSnapshotsAndStillDiagnoses) {

@@ -12,6 +12,7 @@
 #include "pc/directives.h"
 #include "pc/hypothesis.h"
 #include "resources/focus.h"
+#include "resources/focus_table.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -136,10 +137,17 @@ TEST_P(DirectiveIndexFuzz, IndexAgreesWithScanOnRandomQueries) {
   // names no directive mentions.
   std::vector<std::string> query_hyps = hypothesis_pool();
   query_hyps.push_back("NoSuchHypothesis");
+  // The bound (id-keyed) lookups the search uses answer for the standard
+  // hypotheses over the same pool, interned.
+  const HypothesisSet hyps = HypothesisSet::standard();
+  resources::FocusTable table(db);
+  std::vector<resources::FocusId> ids;
+  for (const Focus& focus : foci) ids.push_back(table.intern(focus));
 
   for (int round = 0; round < 40; ++round) {
     const DirectiveSet set = random_set(rng, foci);
-    const DirectiveIndex index(set);
+    DirectiveIndex index(set);
+    index.bind(table, hyps);
     for (const auto& hyp : query_hyps) {
       for (const Focus& focus : foci) {
         EXPECT_EQ(index.prune_match(hyp, focus), set.prune_match(hyp, focus))
@@ -151,6 +159,20 @@ TEST_P(DirectiveIndexFuzz, IndexAgreesWithScanOnRandomQueries) {
       }
       EXPECT_EQ(index.threshold_for(hyp), set.threshold_for(hyp))
           << "hyp=" << hyp << "\n"
+          << set.serialize();
+    }
+    for (int h = 0; h < static_cast<int>(hyps.size()); ++h) {
+      const std::string& name = hyps.at(h).name;
+      for (std::size_t f = 0; f < foci.size(); ++f) {
+        EXPECT_EQ(index.prune_match(h, ids[f]), set.prune_match(name, foci[f]))
+            << "hyp=" << name << " focus=" << foci[f].name() << "\n"
+            << set.serialize();
+        EXPECT_EQ(index.priority_of(h, ids[f]), set.priority_of(name, foci[f].name()))
+            << "hyp=" << name << " focus=" << foci[f].name() << "\n"
+            << set.serialize();
+      }
+      EXPECT_EQ(index.threshold_for(h), set.threshold_for(name))
+          << "hyp=" << name << "\n"
           << set.serialize();
     }
   }

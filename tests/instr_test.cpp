@@ -10,6 +10,7 @@ namespace {
 
 using metrics::MetricKind;
 using resources::Focus;
+using resources::FocusId;
 
 simmpi::ExecutionTrace make_trace(int nranks = 4) {
   simmpi::ProgramBuilder b(simmpi::MachineSpec::one_to_one(nranks, "node", "proc"));
@@ -26,16 +27,20 @@ simmpi::ExecutionTrace make_trace(int nranks = 4) {
 class InstrTest : public testing::Test {
  protected:
   InstrTest() : trace_(make_trace()), view_(trace_) {}
+  /// The whole-program focus with part `h` replaced by `part`, interned.
+  FocusId with_part(std::size_t h, const std::string& part) {
+    return view_.foci().intern(Focus::whole_program(view_.resources()).with_part(h, part));
+  }
   simmpi::ExecutionTrace trace_;
   metrics::TraceView view_;
+  const FocusId whole_ = view_.foci().whole_program();
 };
 
 TEST_F(InstrTest, CostGrowsWithFocusBreadth) {
   CostModel cm;
-  const Focus whole = Focus::whole_program(view_.resources());
-  const Focus mod = whole.with_part(0, "/Code/mod.c");
-  const Focus func = whole.with_part(0, "/Code/mod.c/work");
-  const double c_whole = cm.probe_cost(view_, whole, MetricKind::CpuTime);
+  const FocusId mod = with_part(0, "/Code/mod.c");
+  const FocusId func = with_part(0, "/Code/mod.c/work");
+  const double c_whole = cm.probe_cost(view_, whole_, MetricKind::CpuTime);
   const double c_mod = cm.probe_cost(view_, mod, MetricKind::CpuTime);
   const double c_func = cm.probe_cost(view_, func, MetricKind::CpuTime);
   EXPECT_GT(c_whole, c_mod);
@@ -44,24 +49,21 @@ TEST_F(InstrTest, CostGrowsWithFocusBreadth) {
 
 TEST_F(InstrTest, CostScalesWithSelectedRanks) {
   CostModel cm;
-  const Focus whole = Focus::whole_program(view_.resources());
-  const Focus one = whole.with_part(2, "/Process/proc:1");
-  EXPECT_NEAR(cm.probe_cost(view_, whole, MetricKind::CpuTime),
+  const FocusId one = with_part(2, "/Process/proc:1");
+  EXPECT_NEAR(cm.probe_cost(view_, whole_, MetricKind::CpuTime),
               4 * cm.probe_cost(view_, one, MetricKind::CpuTime), 1e-12);
 }
 
 TEST_F(InstrTest, SyncConstraintAddsCost) {
   CostModel cm;
-  const Focus whole = Focus::whole_program(view_.resources());
-  const Focus sync = whole.with_part(3, "/SyncObject/Collective/Barrier");
+  const FocusId sync = with_part(3, "/SyncObject/Collective/Barrier");
   EXPECT_GT(cm.probe_cost(view_, sync, MetricKind::SyncWaitTime),
-            cm.probe_cost(view_, whole, MetricKind::SyncWaitTime));
+            cm.probe_cost(view_, whole_, MetricKind::SyncWaitTime));
 }
 
 TEST_F(InstrTest, InsertionLatencyDelaysData) {
   InstrumentationManager mgr(view_, CostModel{}, /*insertion_latency=*/2.0);
-  const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId p = mgr.insert(MetricKind::CpuTime, whole, /*now=*/1.0);
+  ProbeId p = mgr.insert(MetricKind::CpuTime, whole_, /*now=*/1.0);
   mgr.advance(2.5);  // data collection starts at 3.0
   EXPECT_DOUBLE_EQ(mgr.read(p).observed, 0.0);
   EXPECT_DOUBLE_EQ(mgr.read(p).value, 0.0);
@@ -72,9 +74,8 @@ TEST_F(InstrTest, InsertionLatencyDelaysData) {
 
 TEST_F(InstrTest, RemoveFreesCost) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
-  const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId a = mgr.insert(MetricKind::CpuTime, whole, 0.0);
-  ProbeId b = mgr.insert(MetricKind::SyncWaitTime, whole, 0.0);
+  ProbeId a = mgr.insert(MetricKind::CpuTime, whole_, 0.0);
+  ProbeId b = mgr.insert(MetricKind::SyncWaitTime, whole_, 0.0);
   const double both = mgr.total_cost();
   EXPECT_GT(both, 0.0);
   EXPECT_EQ(mgr.num_active(), 2u);
@@ -91,26 +92,24 @@ TEST_F(InstrTest, RemoveFreesCost) {
 
 TEST_F(InstrTest, PeakCostTracksHighWaterMark) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
-  const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId a = mgr.insert(MetricKind::CpuTime, whole, 0.0);
+  ProbeId a = mgr.insert(MetricKind::CpuTime, whole_, 0.0);
   const double peak = mgr.total_cost();
   mgr.remove(a);
-  mgr.insert(MetricKind::CpuTime, whole.with_part(2, "/Process/proc:1"), 0.0);
+  mgr.insert(MetricKind::CpuTime, with_part(2, "/Process/proc:1"), 0.0);
   EXPECT_DOUBLE_EQ(mgr.peak_cost(), peak);
 }
 
 TEST_F(InstrTest, PredictMatchesInsertCost) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
-  const Focus f = Focus::whole_program(view_.resources()).with_part(0, "/Code/mod.c");
-  const double predicted = mgr.predict_cost(MetricKind::CpuTime, f);
+  const FocusId f = with_part(0, "/Code/mod.c");
+  const double predicted = CostModel{}.probe_cost(view_, f, MetricKind::CpuTime);
   ProbeId p = mgr.insert(MetricKind::CpuTime, f, 0.0);
   EXPECT_DOUBLE_EQ(mgr.probe_cost(p), predicted);
 }
 
 TEST_F(InstrTest, SampleFractionNormalizes) {
   InstrumentationManager mgr(view_, CostModel{}, 0.0);
-  const Focus whole = Focus::whole_program(view_.resources());
-  ProbeId p = mgr.insert(MetricKind::ExecTime, whole, 0.0);
+  ProbeId p = mgr.insert(MetricKind::ExecTime, whole_, 0.0);
   mgr.advance(10.0);
   const ProbeSample s = mgr.read(p);
   EXPECT_EQ(s.selected_ranks, 4);

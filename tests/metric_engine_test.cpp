@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/session.h"
 #include "metrics/interval_index.h"
 #include "metrics/metric_batch.h"
 #include "metrics/metric_instance.h"
@@ -292,32 +291,6 @@ TEST_F(MetricEngineUnit, CompiledCacheReturnsStableReferences) {
     view_.compiled(whole.with_part(0, "/Code/" + fi.module + "/" + fi.function));
   EXPECT_EQ(first, &view_.compiled(whole));
   EXPECT_EQ(first->num_selected_ranks, 2);
-}
-
-// ------------------------------------------- consultant end-to-end parity
-
-TEST(MetricEngineConsultant, BatchedAndScanEnginesProduceIdenticalDiagnoses) {
-  apps::AppParams params;
-  params.target_duration = 300.0;
-  pc::PcConfig batched;
-  batched.batched_eval = true;
-  pc::PcConfig scan;
-  scan.batched_eval = false;
-
-  core::DiagnosisSession a("poisson_a", params, batched);
-  core::DiagnosisSession b("poisson_a", params, scan);
-  const pc::DiagnosisResult ra = a.diagnose();
-  const pc::DiagnosisResult rb = b.diagnose();
-
-  EXPECT_EQ(ra.stats.pairs_tested, rb.stats.pairs_tested);
-  EXPECT_EQ(ra.stats.nodes_created, rb.stats.nodes_created);
-  ASSERT_EQ(ra.bottlenecks.size(), rb.bottlenecks.size());
-  for (std::size_t i = 0; i < ra.bottlenecks.size(); ++i) {
-    EXPECT_EQ(ra.bottlenecks[i].hypothesis, rb.bottlenecks[i].hypothesis);
-    EXPECT_EQ(ra.bottlenecks[i].focus, rb.bottlenecks[i].focus);
-    EXPECT_DOUBLE_EQ(ra.bottlenecks[i].t_found, rb.bottlenecks[i].t_found);
-    EXPECT_DOUBLE_EQ(ra.bottlenecks[i].fraction, rb.bottlenecks[i].fraction);
-  }
 }
 
 }  // namespace

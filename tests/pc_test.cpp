@@ -214,10 +214,11 @@ TEST(Directives, FileRoundTrip) {
 
 TEST(Shg, DedupAndMultiParent) {
   HypothesisSet hyps = HypothesisSet::standard();
-  SearchHistoryGraph shg(hyps);
   resources::ResourceDb db = resources::ResourceDb::with_standard_hierarchies();
   db.add_resource("/Code/a.f");
-  const Focus whole = Focus::whole_program(db);
+  const resources::FocusTable foci(db);
+  SearchHistoryGraph shg(hyps, foci);
+  const resources::FocusId whole = foci.whole_program();
   int a = shg.add_node(0, whole, shg.root(), 0.0);
   int b = shg.add_node(1, whole, shg.root(), 0.0);
   EXPECT_NE(a, b);
@@ -225,17 +226,17 @@ TEST(Shg, DedupAndMultiParent) {
   int c = shg.add_node(1, whole, a, 1.0);
   EXPECT_EQ(b, c);
   EXPECT_EQ(shg.node(b).parents.size(), 2u);
-  EXPECT_EQ(shg.find(1, whole.name()), b);
-  EXPECT_EQ(shg.find(2, whole.name()), -1);
+  EXPECT_EQ(shg.find(1, whole), b);
+  EXPECT_EQ(shg.find(2, whole), -1);
   EXPECT_EQ(shg.hypothesis_name(shg.root()), "TopLevelHypothesis");
 }
 
 TEST(Shg, RenderListsNodesWithStatus) {
   HypothesisSet hyps = HypothesisSet::standard();
-  SearchHistoryGraph shg(hyps);
-  resources::ResourceDb db = resources::ResourceDb::with_standard_hierarchies();
-  const Focus whole = Focus::whole_program(db);
-  int a = shg.add_node(0, whole, shg.root(), 0.0);
+  const resources::ResourceDb db = resources::ResourceDb::with_standard_hierarchies();
+  const resources::FocusTable foci(db);
+  SearchHistoryGraph shg(hyps, foci);
+  int a = shg.add_node(0, foci.whole_program(), shg.root(), 0.0);
   shg.node(a).status = NodeStatus::True;
   shg.node(a).fraction = 0.42;
   shg.node(a).conclude_time = 11.0;
