@@ -128,12 +128,14 @@ int main() {
   util::Json cache_section = util::Json::object();
   cache_section["hits"] = static_cast<double>(reg.counter("trace_cache.hit"));
   cache_section["misses"] = static_cast<double>(reg.counter("trace_cache.miss"));
+  cache_section["trace_key_seconds"] = reg.timer("session.trace_key").seconds;
   cache_section["trace_load_seconds"] = reg.timer("session.trace_load").seconds;
   cache_section["simulate_seconds"] = reg.timer("session.simulate").seconds;
   bench::write_bench_section("table1_trace_cache", std::move(cache_section));
-  std::printf("trace cache: %llu hit / %llu miss (load %.1f ms, simulate %.1f ms)\n",
+  std::printf("trace cache: %llu hit / %llu miss (key %.1f ms, load %.1f ms, simulate %.1f ms)\n",
               static_cast<unsigned long long>(reg.counter("trace_cache.hit")),
               static_cast<unsigned long long>(reg.counter("trace_cache.miss")),
+              reg.timer("session.trace_key").seconds * 1e3,
               reg.timer("session.trace_load").seconds * 1e3,
               reg.timer("session.simulate").seconds * 1e3);
   std::printf("wrote per-variant telemetry summaries to %s\n\n", bench::kBenchMetricsPath);

@@ -3,12 +3,13 @@
 
 Usage: validate_bench_metrics.py [cold|warm|serve]
 
-Checks that every expected section and key is present and not NaN. The
-optional mode argument asserts the trace-cache behaviour of the run that
-just finished: a `cold` run (empty cache directory) must record a cache
-miss, a `warm` run must record a cache hit and no miss — so CI catches a
-regression in snapshot keying, decoding, or cache lookup, not just a
-missing metric.
+Checks that every expected section and key is present and not NaN, and
+that a trace-cache hit (content key + snapshot load) beats simulating the
+trace. The optional mode argument asserts the trace-cache behaviour of
+the run that just finished: a `cold` run (empty cache directory) must
+record a cache miss, a `warm` run must record a cache hit and no miss —
+so CI catches a regression in snapshot keying, decoding, or cache
+lookup, not just a missing metric.
 
 `serve` mode validates only the serve_load section (written by `histpc
 bench-client --out` or bench/serve_load, which don't produce the
@@ -75,7 +76,9 @@ REQUIRED = {
         "cold_simulate_ns",
         "encode_ns",
         "warm_load_ns",
+        "key_ns",
         "speedup_vs_simulate",
+        "hit_speedup_vs_simulate",
         "binary_bytes",
         "json_bytes",
         "json_bytes_vs_binary",
@@ -172,7 +175,14 @@ def main() -> None:
                  f"{store_query['speedup_vs_json_scan']:.1f}x over JSON re-parse "
                  "(acceptance bar is 10x at 1000 runs)")
 
+    # A hit pays the content key and the load; it must still be cheaper
+    # than the simulation it replaces, or the cache slows every run down.
     snapshot = metrics["trace_snapshot"]
+    if not snapshot["hit_speedup_vs_simulate"] > 1:
+        sys.exit(f"trace_snapshot: a cache hit (key {snapshot['key_ns'] / 1e6:.2f} ms + load "
+                 f"{snapshot['warm_load_ns'] / 1e6:.2f} ms) is no faster than simulating "
+                 f"({snapshot['cold_simulate_ns'] / 1e6:.2f} ms): hit_speedup_vs_simulate "
+                 f"{snapshot['hit_speedup_vs_simulate']:.2f}")
     if mode == "cold" and snapshot["cache_misses"] < 1:
         sys.exit("trace_snapshot: cold run recorded no trace-cache miss")
     if mode == "warm":

@@ -28,7 +28,11 @@ DiagnosisSession::DiagnosisSession(const std::string& app_name, apps::AppParams 
     }
     simmpi::TraceCache cache({config_.trace_cache_dir, config_.trace_cache_max_bytes},
                              &registry_);
-    const simmpi::TraceKey key = simmpi::trace_content_key(program, net);
+    simmpi::TraceKey key;
+    {
+      telemetry::ScopedTimer timer(registry_, "session.trace_key");
+      key = simmpi::trace_content_key(program, net);
+    }
     std::optional<simmpi::ExecutionTrace> cached;
     {
       telemetry::ScopedTimer timer(registry_, "session.trace_load");
@@ -42,6 +46,7 @@ DiagnosisSession::DiagnosisSession(const std::string& app_name, apps::AppParams 
         telemetry::ScopedTimer timer(registry_, "session.simulate");
         trace_ = std::make_unique<simmpi::ExecutionTrace>(simmpi::Simulator(net).run(program));
       }
+      telemetry::ScopedTimer timer(registry_, "session.trace_store");
       cache.store(key, *trace_);
     }
   }

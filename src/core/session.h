@@ -58,8 +58,10 @@ class DiagnosisSession {
 
   /// Session-level wall-clock telemetry: "session.simulate",
   /// "session.view_build", "session.diagnose" timers — plus, when the
-  /// trace cache is enabled (PcConfig::trace_cache_dir), "session.record"
-  /// and "session.trace_load" timers and the `trace_cache.*` counters.
+  /// trace cache is enabled (PcConfig::trace_cache_dir), the
+  /// "session.record", "session.trace_key" and "session.trace_load"
+  /// timers, "session.trace_store" on a miss, and the `trace_cache.*`
+  /// counters.
   /// diagnose() folds the consultant's own registry (pc.* counters and
   /// timers, with their lap histograms) in here, so after a diagnosis this
   /// registry is the complete performance picture of the run, summed over

@@ -39,36 +39,6 @@ void append_le_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
 }
 
-/// Incremental FNV-1a 64. Every value is folded in as canonical
-/// little-endian bytes, so the digest is platform-stable.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  void u8(std::uint8_t v) { bytes(&v, 1); }
-  void u64(std::uint64_t v) {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
-    bytes(b, 8);
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-
-  std::uint64_t digest() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
 std::string hex16(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
   std::string s(16, '0');
@@ -85,60 +55,101 @@ std::string temp_path_for(const std::string& path) {
          std::to_string(counter.fetch_add(1));
 }
 
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+
+/// Two 64-bit lanes over one stream of canonical little-endian words.
+/// Each word goes through the XXH64 round (multiply, rotate, multiply) in
+/// both lanes, and each digest is its lane's state after the XXH64
+/// avalanche. The lanes start from different values (XXH64's first and
+/// fourth lane seeds). A round is a bijection of the state for a fixed
+/// word and of the word for a fixed state, and so is the avalanche: two
+/// streams of equal length that differ in one word always differ in both
+/// digests.
+class KeyStream {
+ public:
+  void word(std::uint64_t w) {
+    primary_ = round(primary_, w);
+    check_ = round(check_, w);
+  }
+  void f64(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  /// Two 32-bit fields in one word, `lo` in the low half.
+  void pair(std::uint32_t lo, std::uint32_t hi) {
+    word(static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32));
+  }
+  /// Length, then the bytes as little-endian words, the tail zero-padded.
+  void str(const std::string& s) {
+    word(s.size());
+    const auto* p = reinterpret_cast<const unsigned char*>(s.data());
+    for (std::size_t i = 0; i < s.size(); i += 8) {
+      std::uint64_t w = 0;
+      const std::size_t n = std::min<std::size_t>(8, s.size() - i);
+      for (std::size_t b = 0; b < n; ++b) w |= static_cast<std::uint64_t>(p[i + b]) << (8 * b);
+      word(w);
+    }
+  }
+
+  TraceKey digest() const { return {avalanche(primary_), avalanche(check_)}; }
+
+ private:
+  static std::uint64_t round(std::uint64_t acc, std::uint64_t w) {
+    return std::rotl(acc + w * kPrime2, 31) * kPrime1;
+  }
+  static std::uint64_t avalanche(std::uint64_t h) {
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
+    return h;
+  }
+
+  std::uint64_t primary_ = kPrime1 + kPrime2;
+  std::uint64_t check_ = 0 - kPrime1;
+};
+
 }  // namespace
 
-namespace {
-
-std::uint64_t hash_trace_inputs(const SimProgram& program, const NetworkModel& net,
-                                const char* seed) {
-  Fnv1a h;
-  h.str(seed);
-
+TraceKey trace_content_key(const SimProgram& program, const NetworkModel& net) {
+  // One pass over the inputs feeds both digests. Every count and length
+  // is hashed ahead of what it counts, so the word stream is unambiguous.
+  KeyStream h;
   h.f64(net.latency);
   h.f64(net.bytes_per_second);
-  h.u64(net.eager_limit);
+  h.word(net.eager_limit);
   h.f64(net.post_overhead);
 
   const MachineSpec& m = program.machine;
-  h.u64(m.node_names.size());
+  h.word(m.node_names.size());
   for (const std::string& n : m.node_names) h.str(n);
   for (double s : m.node_speeds) h.f64(s);
-  h.u64(m.rank_to_node.size());
-  for (int r : m.rank_to_node) h.i64(r);
+  h.word(m.rank_to_node.size());
+  for (int r : m.rank_to_node) h.word(static_cast<std::uint64_t>(r));
   for (const std::string& p : m.process_names) h.str(p);
 
-  h.u64(program.functions.size());
+  h.word(program.functions.size());
   for (const FuncInfo& f : program.functions) {
     h.str(f.function);
     h.str(f.module);
   }
 
-  h.u64(program.procs.size());
+  // An op is five words; the three packed pairs are lossless because each
+  // of those fields is 32 bits or narrower.
+  static_assert(sizeof(Op::peer) == 4 && sizeof(Op::tag) == 4 && sizeof(Op::comm) == 4 &&
+                sizeof(Op::request) == 4 && sizeof(Op::func) == 4 && sizeof(Op::kind) == 1);
+  h.word(program.procs.size());
   for (const ProcessProgram& proc : program.procs) {
-    h.u64(proc.ops.size());
+    h.word(proc.ops.size());
     for (const Op& op : proc.ops) {
-      h.u8(static_cast<std::uint8_t>(op.kind));
       h.f64(op.seconds);
-      h.i64(op.peer);
-      h.i64(op.tag);
-      h.i64(op.comm);
-      h.u64(op.bytes);
-      h.i64(op.request);
-      h.i64(op.func);
+      h.word(op.bytes);
+      h.pair(static_cast<std::uint32_t>(op.peer), static_cast<std::uint32_t>(op.tag));
+      h.pair(static_cast<std::uint32_t>(op.comm), static_cast<std::uint32_t>(op.request));
+      h.pair(static_cast<std::uint32_t>(op.func), static_cast<std::uint8_t>(op.kind));
     }
   }
   return h.digest();
-}
-
-}  // namespace
-
-TraceKey trace_content_key(const SimProgram& program, const NetworkModel& net) {
-  // Two independent digests of the same serialization: the primary keeps
-  // its pre-TraceKey seed so cache file names stay stable across the
-  // format change; the check digest uses a different seed, so agreeing on
-  // both by accident requires a 128-bit collision.
-  return {hash_trace_inputs(program, net, "histpc-trace-key-v1"),
-          hash_trace_inputs(program, net, "histpc-trace-check-v1")};
 }
 
 TraceCache::TraceCache(TraceCacheConfig config, telemetry::Registry* registry)

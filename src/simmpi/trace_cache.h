@@ -3,7 +3,7 @@
 // The simulator is deterministic: a given (recorded program, network
 // model) pair — the machine spec travels inside the program — always
 // produces the same ExecutionTrace. The cache exploits that by keying
-// snapshots on a stable FNV-1a hash of those inputs (TraceKey), so a
+// snapshots on a stable 128-bit hash of those inputs (TraceKey), so a
 // session that would re-simulate an already-seen configuration instead
 // reloads the trace at memory-bandwidth speed (the `session.trace_load`
 // timer vs the `session.simulate` one). Each cache file carries the full
@@ -40,12 +40,14 @@ namespace histpc::simmpi {
 
 /// Content key of everything that determines a simulated trace: the
 /// network model, the machine spec, the function table, and every recorded
-/// op of every rank. Two independent FNV-1a digests over the same
-/// canonical little-endian serialization, differing only in seed: the
-/// primary digest addresses the cache file, and the check digest is stored
-/// inside it and re-verified on every hit, so a filename collision (or a
-/// hand-renamed file) is detected instead of silently serving the wrong
-/// trace. Same inputs hash identically across runs, platforms, processes.
+/// op of every rank. One pass folds those inputs as canonical
+/// little-endian 64-bit words (five per op) into two 64-bit lanes that
+/// start from different seeds, each with the XXH64 round and avalanche.
+/// The primary digest addresses the cache file, and the check digest is
+/// stored inside it and re-verified on every hit, so a filename collision
+/// (or a hand-renamed file) is detected instead of silently serving the
+/// wrong trace. Same inputs hash identically across runs, platforms,
+/// processes.
 struct TraceKey {
   std::uint64_t primary = 0;  ///< addresses the snapshot file
   std::uint64_t check = 0;    ///< verified against the file header on load

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.h"
@@ -277,6 +279,41 @@ TEST(TraceCacheTest, MissThenStoreThenHit) {
   EXPECT_EQ(reg.counter("trace_cache.hit"), 1u);
 }
 
+/// Two ranks on two nodes, two functions, and one op of every OpKind with
+/// a non-default value in every field. The key does not simulate, so the
+/// ops need not form a runnable program.
+simmpi::SimProgram key_test_program() {
+  simmpi::SimProgram program;
+  program.machine.node_names = {"alpha01", "beta-node-02"};
+  program.machine.node_speeds = {1.25, 0.5};
+  program.machine.rank_to_node = {1, 0};
+  program.machine.process_names = {"keytest:0", "keytest:1"};
+  program.functions = {{"exchange_halo", "halo.f"}, {"main", "driver.c"}};
+  program.procs.resize(2);
+  for (int k = 0; k <= static_cast<int>(simmpi::OpKind::FuncExit); ++k) {
+    simmpi::Op op;
+    op.kind = static_cast<simmpi::OpKind>(k);
+    op.seconds = 0.125 * (k + 1);
+    op.peer = k % 2;
+    op.tag = 100 + k;
+    op.comm = 1 + k % 3;
+    op.bytes = 4096u * static_cast<std::size_t>(k + 1);
+    op.request = k;
+    op.func = k % 2;
+    program.procs[static_cast<std::size_t>(k % 2)].ops.push_back(op);
+  }
+  return program;
+}
+
+simmpi::NetworkModel key_test_network() {
+  simmpi::NetworkModel net;
+  net.latency = 25e-6;
+  net.bytes_per_second = 1.5e9;
+  net.eager_limit = 8192;
+  net.post_overhead = 2e-7;
+  return net;
+}
+
 TEST(TraceCacheTest, ContentKeyIsStableAndSensitive) {
   apps::AppParams p;
   p.target_duration = 150.0;
@@ -291,6 +328,55 @@ TEST(TraceCacheTest, ContentKeyIsStableAndSensitive) {
   simmpi::NetworkModel slow = net;
   slow.bytes_per_second /= 2;
   EXPECT_NE(key, simmpi::trace_content_key(program, slow));
+
+  // Known answer: the digests name cache files, so changing them must be
+  // a deliberate edit of these literals.
+  const simmpi::SimProgram kat_program = key_test_program();
+  const simmpi::NetworkModel kat_net = key_test_network();
+  const simmpi::TraceKey kat_key = simmpi::trace_content_key(kat_program, kat_net);
+  EXPECT_EQ(kat_key.primary, 0xb641bbaf6c37059bull);
+  EXPECT_EQ(kat_key.check, 0x4176cf613025912full);
+
+  // Changing any one covered input changes both digests.
+  using Mutation = std::function<void(simmpi::SimProgram&, simmpi::NetworkModel&)>;
+  const auto op = [](simmpi::SimProgram& prog) -> simmpi::Op& { return prog.procs[1].ops[2]; };
+  const std::vector<std::pair<std::string, Mutation>> mutations = {
+      {"op.kind", [&](auto& prog, auto&) { op(prog).kind = simmpi::OpKind::Barrier; }},
+      {"op.seconds", [&](auto& prog, auto&) { op(prog).seconds += 1e-9; }},
+      {"op.peer", [&](auto& prog, auto&) { op(prog).peer = simmpi::kAnySource; }},
+      {"op.tag", [&](auto& prog, auto&) { op(prog).tag += 1; }},
+      {"op.comm", [&](auto& prog, auto&) { op(prog).comm += 1; }},
+      {"op.bytes", [&](auto& prog, auto&) { op(prog).bytes += 1; }},
+      {"op.request", [&](auto& prog, auto&) { op(prog).request += 1; }},
+      {"op.func", [&](auto& prog, auto&) { op(prog).func = simmpi::kNoFunc; }},
+      {"net.latency", [](auto&, auto& n) { n.latency *= 2; }},
+      {"net.bytes_per_second", [](auto&, auto& n) { n.bytes_per_second *= 2; }},
+      {"net.eager_limit", [](auto&, auto& n) { n.eager_limit += 1; }},
+      {"net.post_overhead", [](auto&, auto& n) { n.post_overhead = 0.0; }},
+      {"node name", [](auto& prog, auto&) { prog.machine.node_names[1] = "beta-node-03"; }},
+      {"node speed", [](auto& prog, auto&) { prog.machine.node_speeds[0] = 1.0; }},
+      {"rank placement", [](auto& prog, auto&) { prog.machine.rank_to_node[1] = 1; }},
+      {"process name", [](auto& prog, auto&) { prog.machine.process_names[0] = "keytest:9"; }},
+      {"function name", [](auto& prog, auto&) { prog.functions[0].function = "exchange_hal0"; }},
+      {"module name", [](auto& prog, auto&) { prog.functions[1].module = "driver.f"; }},
+      {"adjacent ops swapped",
+       [](auto& prog, auto&) { std::swap(prog.procs[0].ops[3], prog.procs[0].ops[4]); }},
+      {"last op of rank 0 moved to the front of rank 1",
+       [](auto& prog, auto&) {
+         auto& from = prog.procs[0].ops;
+         auto& to = prog.procs[1].ops;
+         to.insert(to.begin(), from.back());
+         from.pop_back();
+       }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    simmpi::SimProgram changed_program = kat_program;
+    simmpi::NetworkModel changed_net = kat_net;
+    mutate(changed_program, changed_net);
+    const simmpi::TraceKey changed = simmpi::trace_content_key(changed_program, changed_net);
+    EXPECT_NE(changed.primary, kat_key.primary) << name;
+    EXPECT_NE(changed.check, kat_key.check) << name;
+  }
 }
 
 TEST(TraceCacheTest, QuarantinesCorruptSnapshotAndRecovers) {
@@ -443,6 +529,14 @@ TEST(TraceCacheSession, DiagnosisBitIdenticalAcrossSimulateAndCacheLoad) {
   EXPECT_EQ(warm.registry().counter("trace_cache.hit"), 1u);
   EXPECT_GT(warm.registry().timer("session.trace_load").seconds, 0.0);
   EXPECT_EQ(warm.registry().timer("session.simulate").count, 0u);
+  // Every call on the cache path is timed: the key on every cached
+  // session, the store only on a miss, neither without a cache.
+  EXPECT_EQ(cold.registry().timer("session.trace_key").count, 1u);
+  EXPECT_EQ(cold.registry().timer("session.trace_store").count, 1u);
+  EXPECT_EQ(warm.registry().timer("session.trace_key").count, 1u);
+  EXPECT_EQ(warm.registry().timer("session.trace_store").count, 0u);
+  EXPECT_EQ(plain.registry().timer("session.trace_key").count, 0u);
+  EXPECT_EQ(plain.registry().timer("session.trace_store").count, 0u);
 
   expect_traces_equal(plain.trace(), cold.trace());
   expect_traces_equal(plain.trace(), warm.trace());
