@@ -4,6 +4,7 @@
 
 #include "core/session.h"
 #include "core/variant_runner.h"
+#include "history/postmortem.h"
 #include "serve/session_pool.h"
 #include "util/crc32c.h"
 #include "util/json.h"
@@ -42,6 +43,19 @@ std::vector<std::string> golden_lines(const std::string& app) {
     line["record_crc"] = crc_hex(record.to_json().dump());
     lines.push_back(line.dump());
   }
+
+  const pc::DiagnosisResult postmortem = history::postmortem_diagnose(session.view());
+  history::ExperimentRecord record =
+      history::postmortem_record(app, "golden", session.view());
+  record.machine.clear();
+  util::Json line = util::Json::object();
+  line["app"] = app;
+  line["variant"] = "Postmortem";
+  line["bottlenecks"] = postmortem.stats.bottlenecks;
+  line["pairs_tested"] = postmortem.stats.pairs_tested;
+  line["result_crc"] = crc_hex(serve::diagnose_result_json(app, postmortem, "").dump());
+  line["record_crc"] = crc_hex(record.to_json().dump());
+  lines.push_back(line.dump());
   return lines;
 }
 

@@ -1,8 +1,8 @@
-// Golden diagnoses: every registered app's undirected search and its five
-// directed Table-1 variants must reproduce the committed digests in
-// tests/data/golden_diagnoses.jsonl byte for byte. After an intended
-// change to diagnosis output, regenerate the file with
-// scripts/refresh_goldens.sh and commit it with the change.
+// Golden diagnoses: every registered app's undirected search, its five
+// directed Table-1 variants and its postmortem evaluation must reproduce
+// the committed digests in tests/data/golden_diagnoses.jsonl byte for
+// byte. After an intended change to diagnosis output, regenerate the file
+// with scripts/refresh_goldens.sh and commit it with the change.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -28,10 +28,13 @@ std::vector<std::string> committed_lines() {
 TEST(GoldenDiagnoses, CoverEveryAppAndVariant) {
   const std::vector<std::string> lines = committed_lines();
   const std::vector<std::string> apps = apps::app_names();
-  ASSERT_EQ(lines.size(), apps.size() * kVariantsPerApp);
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    EXPECT_EQ(util::Json::parse(lines[i]).at("app").as_string(), apps[i / kVariantsPerApp])
-        << "line " << i + 1;
+  ASSERT_EQ(lines.size(), apps.size() * kLinesPerApp);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const util::Json line = util::Json::parse(lines[i]);
+    EXPECT_EQ(line.at("app").as_string(), apps[i / kLinesPerApp]) << "line " << i + 1;
+    const bool postmortem = i % kLinesPerApp == kVariantsPerApp;
+    EXPECT_EQ(line.at("variant").as_string() == "Postmortem", postmortem) << "line " << i + 1;
+  }
 }
 
 class GoldenApp : public ::testing::TestWithParam<std::string> {};
