@@ -31,8 +31,7 @@ int main() {
               focus->name().c_str());
 
   // And the measurement that focus constrains (CPU time there).
-  const double frac =
-      view.fraction(metrics::MetricKind::CpuTime, *focus, 0.0, trace.duration);
+  const double frac = view.fraction(metrics::MetricKind::CpuTime, *focus);
   std::printf("CPU time under that focus: %s of Tester:2's execution\n",
               util::fmt_percent(frac).c_str());
   return 0;

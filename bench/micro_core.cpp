@@ -1,13 +1,15 @@
 // Micro-benchmarks of the core data structures and engines
-// (google-benchmark): simulator throughput, metric accumulation (indexed
-// vs. the scan oracle, per-instance vs. batched), focus refinement, SHG
-// insertion/dedup, directive parsing, and a full end-to-end diagnosis.
+// (google-benchmark): simulator throughput, view construction, metric
+// accumulation (whole-run query, per-instance vs. batched ticks), focus
+// refinement, SHG insertion/dedup, directive parsing, and a full
+// end-to-end diagnosis.
 //
-// Besides the console table, main() writes BENCH_metrics.json (metric-query
-// ns/query and queries/s plus p50/p99 from the telemetry histograms,
-// table1-equivalent end-to-end seconds) so future PRs have a perf
-// trajectory to compare against — and appends a telemetry::PerfRecord to
-// perf-log/micro_core.jsonl for `histpc perf-diff`.
+// Besides the console table, main() writes BENCH_metrics.json (directive
+// lookup, store query with p50/p99 from the telemetry histograms, trace
+// snapshots, table1-equivalent end-to-end seconds) so future changes have
+// a perf trajectory to compare against — and appends a
+// telemetry::PerfRecord to perf-log/micro_core.jsonl for `histpc
+// perf-diff`.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -19,8 +21,6 @@
 #include "apps/apps.h"
 #include "apps/workload_spec.h"
 #include "bench_common.h"
-#include "metrics/block_index.h"
-#include "util/cpu_features.h"
 #include "core/session.h"
 #include "core/variant_runner.h"
 #include "history/combiner.h"
@@ -98,40 +98,10 @@ void BM_MetricWholeWindowQuery(benchmark::State& state) {
   const auto& view = shared_view();
   const auto whole = resources::Focus::whole_program(view.resources());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(view.query(metrics::MetricKind::SyncWaitTime, whole, 0.0,
-                                        view.trace().duration));
+    benchmark::DoNotOptimize(view.query(metrics::MetricKind::SyncWaitTime, whole));
   }
 }
 BENCHMARK(BM_MetricWholeWindowQuery);
-
-void BM_MetricWholeWindowQueryScan(benchmark::State& state) {
-  // The retained linear-scan oracle; the ratio to the indexed benchmark
-  // above is the headline metric-query speedup.
-  const auto& view = shared_view();
-  const auto& filter =
-      view.compiled(resources::Focus::whole_program(view.resources()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.query_scan(metrics::MetricKind::SyncWaitTime, filter,
-                                             0.0, view.trace().duration));
-  }
-}
-BENCHMARK(BM_MetricWholeWindowQueryScan);
-
-void BM_MetricConstrainedWindowQuery(benchmark::State& state) {
-  // Function-constrained focus: served by the index's per-function posting
-  // lists rather than the per-state prefix sums.
-  const auto& view = shared_view();
-  const auto& trace = view.trace();
-  const auto& fi = trace.functions.front();
-  const auto focus = resources::Focus::whole_program(view.resources())
-                         .with_part(0, "/Code/" + fi.module + "/" + fi.function);
-  const auto& filter = view.compiled(focus);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.query(metrics::MetricKind::CpuTime, filter,
-                                        trace.duration * 0.25, trace.duration * 0.75));
-  }
-}
-BENCHMARK(BM_MetricConstrainedWindowQuery);
 
 void BM_MetricIncrementalTicks(benchmark::State& state) {
   const auto& view = shared_view();
@@ -170,77 +140,6 @@ void BM_MetricBatchedTicks(benchmark::State& state) {
   state.counters["probes"] = static_cast<double>(filters.size());
 }
 BENCHMARK(BM_MetricBatchedTicks);
-
-// ------------------------------------------------ block-max benchmarks
-
-/// Large phase-clustered trace for the block-skip benchmarks: eight
-/// phases, each running its own function over many tiny compute/exchange
-/// rounds, with one hot message tag shared by every phase. A query
-/// constrained to one phase's function AND the Message sync objects is the
-/// interval index's worst case (scalar walk over every Message posting
-/// with a per-interval function check) while the block summaries prove 7/8
-/// of the blocks function-free and skip them outright.
-const simmpi::ExecutionTrace& blockskip_trace() {
-  static simmpi::ExecutionTrace trace = [] {
-    constexpr int kPhases = 8;
-    constexpr int kRoundsPerPhase = 1500;
-    simmpi::MachineSpec m = simmpi::MachineSpec::one_to_one(4, "node", "proc");
-    simmpi::ProgramBuilder b(m);
-    b.record([&](simmpi::Recorder& r) {
-      simmpi::FunctionScope fmain(r, "main", "main.c");
-      for (int ph = 0; ph < kPhases; ++ph) {
-        simmpi::FunctionScope scope(r, "phase" + std::to_string(ph), "phases.c");
-        for (int round = 0; round < kRoundsPerPhase; ++round) {
-          // Senders compute twice as long as receivers, so every recv
-          // genuinely blocks and the Message posting lists carry real
-          // SyncWait time for the interval index to walk.
-          r.compute(r.rank() % 2 == 0 ? 0.002 : 0.001);
-          if (r.rank() % 2 == 0 && r.rank() + 1 < r.size())
-            r.send(r.rank() + 1, /*tag=*/1, 1 << 10);
-          else if (r.rank() % 2 == 1)
-            r.recv(r.rank() - 1, /*tag=*/1);
-        }
-      }
-    });
-    return simmpi::Simulator().run(b.build());
-  }();
-  return trace;
-}
-
-const metrics::TraceView& blockskip_view() {
-  static metrics::TraceView view(blockskip_trace());
-  return view;
-}
-
-/// Phase-0 sync waits: the block-skip target query described above.
-const metrics::FocusFilter& blockskip_filter() {
-  const auto& view = blockskip_view();
-  return view.compiled(resources::Focus::whole_program(view.resources())
-                           .with_part(0, "/Code/phases.c/phase0")
-                           .with_part(3, "/SyncObject/Message"));
-}
-
-void BM_BlockMaxPhaseQuery(benchmark::State& state) {
-  const auto& view = blockskip_view();
-  const auto& filter = blockskip_filter();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.query_blocks(metrics::MetricKind::SyncWaitTime, filter,
-                                               0.0, view.trace().duration));
-  }
-}
-BENCHMARK(BM_BlockMaxPhaseQuery);
-
-void BM_BlockMaxPhaseQueryIndexedOracle(benchmark::State& state) {
-  // The same query through the interval index; the ratio to the benchmark
-  // above is the block-skipping speedup.
-  const auto& view = blockskip_view();
-  const auto& filter = blockskip_filter();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.query(metrics::MetricKind::SyncWaitTime, filter, 0.0,
-                                        view.trace().duration));
-  }
-}
-BENCHMARK(BM_BlockMaxPhaseQueryIndexedOracle);
 
 void BM_FocusRefinement(benchmark::State& state) {
   const auto& view = shared_view();
@@ -578,37 +477,16 @@ double table1_end_to_end_seconds() {
 void write_bench_metrics(bool quick) {
   const double budget = quick ? 0.005 : 0.05;
   const auto& view = shared_view();
-  const auto& filter =
-      view.compiled(resources::Focus::whole_program(view.resources()));
-  const double duration = view.trace().duration;
-  const auto metric = metrics::MetricKind::SyncWaitTime;
 
   // Per-section latency distributions land here and the whole registry is
   // appended to perf-log/micro_core.jsonl at the end, so `histpc
   // perf-diff` can compare this run against earlier ones.
   telemetry::Registry reg;
 
-  const double indexed_ns = time_ns_per_call_sampled(
-      reg, "bench.metric_query",
-      [&] { benchmark::DoNotOptimize(view.query(metric, filter, 0.0, duration)); }, budget);
-  const double scan_ns = time_ns_per_call(
-      [&] { benchmark::DoNotOptimize(view.query_scan(metric, filter, 0.0, duration)); },
-      budget);
   const double table1_s = table1_end_to_end_seconds();
   reg.add_seconds("bench.table1_end_to_end", table1_s);
 
   util::Json out = util::Json::object();
-  util::Json query = util::Json::object();
-  query["indexed_ns_per_query"] = indexed_ns;
-  query["scan_ns_per_query"] = scan_ns;
-  query["speedup_vs_scan"] = scan_ns > 0 ? scan_ns / indexed_ns : 0.0;
-  query["queries_per_second"] = indexed_ns > 0 ? 1e9 / indexed_ns : 0.0;
-  {
-    const telemetry::Histogram* h = reg.histogram("bench.metric_query");
-    query["p50_ns_per_query"] = h ? h->quantile(0.5) * 1e9 : 0.0;
-    query["p99_ns_per_query"] = h ? h->quantile(0.99) * 1e9 : 0.0;
-  }
-  out["metric_query"] = std::move(query);
   util::Json table1 = util::Json::object();
   table1["end_to_end_seconds"] = table1_s;
   out["table1_directives"] = std::move(table1);
@@ -682,65 +560,6 @@ void write_bench_metrics(bool quick) {
     pv["speedup_vs_sequential"] =
         variants_par_s > 0 ? variants_seq_s / variants_par_s : 0.0;
     out["parallel_variants"] = std::move(pv);
-  }
-
-  // Block-max engine on the large phase-clustered trace: the sync+func
-  // constrained query where the interval index degrades to a scalar
-  // posting walk. Reports ns/query for all three evaluation tiers, the
-  // fraction of interior blocks the summaries skipped, and the SIMD lane
-  // width the kernels dispatched to.
-  double blockskip_block_ns = 0.0, blockskip_indexed_ns = 0.0, blockskip_ratio = 0.0;
-  {
-    const auto& bview = blockskip_view();
-    const auto& bfilter = blockskip_filter();
-    const double bdur = bview.trace().duration;
-    const auto bmetric = metrics::MetricKind::SyncWaitTime;
-
-    const auto stats_before = bview.blocks().stats();
-    const double probe = bview.query_blocks(bmetric, bfilter, 0.0, bdur);
-    const auto stats_after = bview.blocks().stats();
-    const double visited =
-        static_cast<double>(stats_after.blocks_visited - stats_before.blocks_visited);
-    const double skipped =
-        static_cast<double>(stats_after.blocks_skipped - stats_before.blocks_skipped);
-
-    const double block_ns = time_ns_per_call_sampled(
-        reg, "bench.block_skip",
-        [&] { benchmark::DoNotOptimize(bview.query_blocks(bmetric, bfilter, 0.0, bdur)); },
-        budget);
-    const double bindexed_ns = time_ns_per_call(
-        [&] { benchmark::DoNotOptimize(bview.query(bmetric, bfilter, 0.0, bdur)); },
-        budget);
-    const double bscan_ns = time_ns_per_call(
-        [&] { benchmark::DoNotOptimize(bview.query_scan(bmetric, bfilter, 0.0, bdur)); },
-        budget);
-
-    const util::CpuFeatures& cpu = util::cpu_features();
-    const double lanes = cpu.selected == util::SimdLevel::Avx2
-                             ? 4.0
-                             : (cpu.selected == util::SimdLevel::Sse42 ? 2.0 : 1.0);
-
-    util::Json bs = util::Json::object();
-    bs["intervals"] = static_cast<double>(bview.trace().total_intervals());
-    bs["block_size"] = static_cast<double>(bview.blocks().block_size());
-    bs["simd_level"] = std::string(util::simd_level_name(cpu.selected));
-    bs["simd_lane_width"] = lanes;
-    bs["query_value"] = probe;
-    bs["block_ns_per_query"] = block_ns;
-    bs["indexed_ns_per_query"] = bindexed_ns;
-    bs["scan_ns_per_query"] = bscan_ns;
-    bs["speedup_vs_indexed"] = block_ns > 0 ? bindexed_ns / block_ns : 0.0;
-    bs["speedup_vs_scan"] = block_ns > 0 ? bscan_ns / block_ns : 0.0;
-    bs["blocks_skipped_ratio"] = visited > 0 ? skipped / visited : 0.0;
-    {
-      const telemetry::Histogram* h = reg.histogram("bench.block_skip");
-      bs["p50_ns_per_query"] = h ? h->quantile(0.5) * 1e9 : 0.0;
-      bs["p99_ns_per_query"] = h ? h->quantile(0.99) * 1e9 : 0.0;
-    }
-    out["block_skip"] = std::move(bs);
-    blockskip_block_ns = block_ns;
-    blockskip_indexed_ns = bindexed_ns;
-    blockskip_ratio = visited > 0 ? skipped / visited : 0.0;
   }
 
   // Directive lookup: scan oracle vs DirectiveIndex on a harvested-scale
@@ -917,10 +736,7 @@ void write_bench_metrics(bool quick) {
     telemetry::Registry cache_reg;
     simmpi::TraceCache cache({"trace-snapshot-cache", 64ull << 20}, &cache_reg);
     const simmpi::TraceKey key = simmpi::trace_content_key(program, net);
-    {
-      simmpi::TraceColumns cols;
-      if (!cache.load(key, &cols)) cache.store(key, trace);
-    }
+    if (!cache.load(key)) cache.store(key, trace);
     const double cache_hits = static_cast<double>(cache_reg.counter("trace_cache.hit"));
     const double cache_misses = static_cast<double>(cache_reg.counter("trace_cache.miss"));
 
@@ -929,12 +745,8 @@ void write_bench_metrics(bool quick) {
     const std::string bytes = simmpi::encode_trace_snapshot(trace);
     const double encode_ns = time_ns_per_call(
         [&] { benchmark::DoNotOptimize(simmpi::encode_trace_snapshot(trace)); }, budget);
-    const double warm_load_ns = time_ns_per_call(
-        [&] {
-          simmpi::TraceColumns cols;
-          benchmark::DoNotOptimize(cache.load(key, &cols));
-        },
-        budget);
+    const double warm_load_ns =
+        time_ns_per_call([&] { benchmark::DoNotOptimize(cache.load(key)); }, budget);
     const std::size_t json_bytes = simmpi::trace_to_json(trace).dump().size();
 
     util::Json snap = util::Json::object();
@@ -997,18 +809,12 @@ void write_bench_metrics(bool quick) {
     log.append(rec);
     std::printf("appended perf record to %s\n", log.path().c_str());
   }
-  std::printf("wrote %s: metric query %.0f ns indexed / %.0f ns scan (%.1fx), "
-              "block skip %.0f ns block-max / %.0f ns indexed (%.1fx, %.0f%% skipped), "
-              "directive lookup %.0f ns indexed / %.0f ns scan (%.1fx @ %d directives), "
+  std::printf("wrote %s: directive lookup %.0f ns indexed / %.0f ns scan (%.1fx @ %d directives), "
               "focus ops %.0f ns string / %.0f ns interned (%.1fx), "
               "variants %.3f s sequential / %.3f s on %d workers, "
               "trace snapshot %.2f ms simulate / %.2f ms key + %.2f ms warm load (%.1fx), "
               "table1 workload %.3f s\n",
-              bench::kBenchMetricsPath, indexed_ns, scan_ns,
-              scan_ns > 0 ? scan_ns / indexed_ns : 0.0, blockskip_block_ns,
-              blockskip_indexed_ns,
-              blockskip_block_ns > 0 ? blockskip_indexed_ns / blockskip_block_ns : 0.0,
-              blockskip_ratio * 100.0, dir_indexed_ns, dir_scan_ns,
+              bench::kBenchMetricsPath, dir_indexed_ns, dir_scan_ns,
               dir_indexed_ns > 0 ? dir_scan_ns / dir_indexed_ns : 0.0, n_directives,
               intern_string_ns, intern_id_ns,
               intern_id_ns > 0 ? intern_string_ns / intern_id_ns : 0.0, variants_seq_s,

@@ -27,7 +27,7 @@ resources::Focus with(const metrics::TraceView& view, const std::string& part) {
 
 void report_fraction(const metrics::TraceView& view, metrics::MetricKind metric,
                      const std::string& label, const resources::Focus& focus) {
-  const double frac = view.fraction(metric, focus, 0.0, view.trace().duration);
+  const double frac = view.fraction(metric, focus);
   std::printf("  %-42s %6s\n", label.c_str(), util::fmt_percent(frac).c_str());
 }
 

@@ -134,14 +134,9 @@ int cmd_report(const Args& args, std::ostream& out) {
   const metrics::TraceView view(trace);
   const auto whole = resources::Focus::whole_program(view.resources());
   out << "\nwhole-program fractions: cpu "
-      << util::fmt_percent(
-             view.fraction(metrics::MetricKind::CpuTime, whole, 0, trace.duration))
-      << ", sync "
-      << util::fmt_percent(
-             view.fraction(metrics::MetricKind::SyncWaitTime, whole, 0, trace.duration))
-      << ", io "
-      << util::fmt_percent(
-             view.fraction(metrics::MetricKind::IoWaitTime, whole, 0, trace.duration))
+      << util::fmt_percent(view.fraction(metrics::MetricKind::CpuTime, whole))
+      << ", sync " << util::fmt_percent(view.fraction(metrics::MetricKind::SyncWaitTime, whole))
+      << ", io " << util::fmt_percent(view.fraction(metrics::MetricKind::IoWaitTime, whole))
       << "\n";
 
   // Optional time histogram (Paradyn's phase view): one digit per bin,

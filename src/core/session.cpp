@@ -11,8 +11,6 @@ namespace histpc::core {
 DiagnosisSession::DiagnosisSession(const std::string& app_name, apps::AppParams params,
                                    pc::PcConfig config)
     : app_name_(app_name), config_(std::move(config)) {
-  simmpi::TraceColumns columns;
-  const simmpi::TraceColumns* columns_ptr = nullptr;
   if (config_.trace_cache_dir.empty()) {
     telemetry::ScopedTimer timer(registry_, "session.simulate");
     trace_ = std::make_unique<simmpi::ExecutionTrace>(apps::run_app(app_name, params));
@@ -36,11 +34,10 @@ DiagnosisSession::DiagnosisSession(const std::string& app_name, apps::AppParams 
     std::optional<simmpi::ExecutionTrace> cached;
     {
       telemetry::ScopedTimer timer(registry_, "session.trace_load");
-      cached = cache.load(key, &columns);
+      cached = cache.load(key);
     }
     if (cached) {
       trace_ = std::make_unique<simmpi::ExecutionTrace>(std::move(*cached));
-      columns_ptr = &columns;
     } else {
       {
         telemetry::ScopedTimer timer(registry_, "session.simulate");
@@ -51,7 +48,7 @@ DiagnosisSession::DiagnosisSession(const std::string& app_name, apps::AppParams 
     }
   }
   telemetry::ScopedTimer timer(registry_, "session.view_build");
-  view_ = std::make_unique<metrics::TraceView>(*trace_, columns_ptr);
+  view_ = std::make_unique<metrics::TraceView>(*trace_);
 }
 
 DiagnosisSession::DiagnosisSession(simmpi::ExecutionTrace trace, pc::PcConfig config,

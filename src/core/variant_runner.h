@@ -6,8 +6,8 @@
 // sweeps. Each diagnosis is an independent online search, so once the
 // expensive shared state is immutable-or-synchronized they parallelize
 // trivially:
-//  * the TraceView (trace, resource db, interval index) is built once and
-//    only read;
+//  * the TraceView (trace, resource db, whole-run totals, block
+//    summaries) is built once and only read;
 //  * the view's FocusTable is append-only and internally synchronized, so
 //    concurrent consultants intern into one shared table (ids agree across
 //    variants, memoized names/refinements are computed once);

@@ -129,7 +129,7 @@ ExperimentRecord make_record(std::string app, std::string version,
     int code_idx = view.resources().hierarchy_index(resources::kCodeHierarchy);
     f = f.with_part(static_cast<std::size_t>(code_idx), code.node(id).full_name);
     r.code_usage[code.node(id).full_name] =
-        view.fraction(metrics::MetricKind::ExecTime, f, 0.0, trace.duration);
+        view.fraction(metrics::MetricKind::ExecTime, f);
   }
 
   // One process per node and vice versa? Then the Machine hierarchy is

@@ -34,7 +34,6 @@ std::optional<Focus> scoped_focus(const metrics::TraceView& view, const Hypothes
 DiagnosisResult postmortem_diagnose(const metrics::TraceView& view,
                                     const PostmortemOptions& options) {
   const auto& hyps = options.hypotheses;
-  const double duration = view.trace().duration;
 
   DiagnosisResult result;
   std::set<std::pair<int, std::string>> seen;
@@ -70,7 +69,7 @@ DiagnosisResult postmortem_diagnose(const metrics::TraceView& view,
     // Foci recur across hypotheses during expansion; the cached compiled
     // filter avoids recompiling one per (hypothesis, focus) pair.
     const double fraction =
-        view.fraction(hyps.at(hyp).metric, view.compiled(*probe), 0.0, duration);
+        view.fraction(hyps.at(hyp).metric, view.compiled(*probe));
     snap.fraction = fraction;
     snap.conclude_time = 0.0;
     ++result.stats.pairs_tested;

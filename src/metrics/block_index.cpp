@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "metrics/simd_kernels.h"
 #include "metrics/trace_view.h"
 
 namespace histpc::metrics {
@@ -15,128 +14,64 @@ namespace {
 
 constexpr std::size_t kSyncWaitState = static_cast<std::size_t>(IntervalState::SyncWait);
 
-/// Which interval states contribute to a metric (mirrors the state switch
-/// in FocusFilter::matches; same table as IntervalIndex).
-std::array<bool, 3> accepted_states(MetricKind metric) {
-  switch (metric) {
-    case MetricKind::CpuTime: return {true, false, false};
-    case MetricKind::SyncWaitTime: return {false, true, false};
-    case MetricKind::IoWaitTime: return {false, false, true};
-    case MetricKind::ExecTime: return {true, true, true};
-  }
-  return {false, false, false};
-}
-
-bool word_bit(const std::vector<std::uint64_t>& words, std::size_t bit) {
-  return (words[bit / 64] >> (bit % 64)) & 1u;
+void set_bit(std::uint64_t* words, std::size_t bit) {
+  words[bit / 64] |= std::uint64_t{1} << (bit % 64);
 }
 
 }  // namespace
 
-BlockIndex::BlockIndex(const ExecutionTrace& trace, const simmpi::TraceColumns* columns,
-                       std::size_t block_size, util::SimdLevel level)
-    : block_size_(std::max<std::size_t>(1, block_size)), level_(level) {
+BlockIndex::BlockIndex(const ExecutionTrace& trace) {
   const std::size_t nfuncs = trace.functions.size();
-  const std::size_t nsync = trace.sync_objects.size();
   fwords_ = (nfuncs + 1 + 63) / 64;  // +1: trailing no-function slot
-  swords_ = (nsync + 63) / 64;
-  const bool adopt = columns != nullptr && columns->matches(trace);
+  swords_ = (trace.sync_objects.size() + 63) / 64;
 
   ranks_.resize(trace.ranks.size());
   for (std::size_t r = 0; r < trace.ranks.size(); ++r) {
+    const std::vector<Interval>& ivs = trace.ranks[r].intervals;
     RankBlocks& rb = ranks_[r];
-    const std::size_t n = trace.ranks[r].intervals.size();
-
-    // Interval columns: adopt the snapshot-decoded buffers when they
-    // mirror the trace, otherwise derive them from the AoS intervals.
-    if (adopt) {
-      const simmpi::RankColumns& rc = columns->ranks[r];
-      rb.t0 = rc.t0;
-      rb.t1 = rc.t1;
-      rb.state = rc.state;
-      rb.sync = rc.sync;
-      rb.fslot.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        rb.fslot[i] = rc.func[i] == simmpi::kNoFunc
-                          ? static_cast<std::uint32_t>(nfuncs)
-                          : static_cast<std::uint32_t>(rc.func[i]);
-    } else {
-      rb.t0.reserve(n);
-      rb.t1.reserve(n);
-      rb.state.reserve(n);
-      rb.fslot.reserve(n);
-      rb.sync.reserve(n);
-      for (const Interval& iv : trace.ranks[r].intervals) {
-        rb.t0.push_back(iv.t0);
-        rb.t1.push_back(iv.t1);
-        rb.state.push_back(static_cast<std::uint8_t>(iv.state));
-        rb.fslot.push_back(iv.func == simmpi::kNoFunc
-                               ? static_cast<std::uint32_t>(nfuncs)
-                               : static_cast<std::uint32_t>(iv.func));
-        rb.sync.push_back(iv.sync_object);
-      }
-    }
-
-    // Per-block summaries in one linear pass over the columns.
-    rb.nblocks = (n + block_size_ - 1) / block_size_;
-    rb.min_t0.assign(rb.nblocks, 0.0);
-    rb.max_t1.assign(rb.nblocks, 0.0);
-    for (auto& c : rb.state_total) c.assign(rb.nblocks, 0.0);
-    for (auto& c : rb.state_max) c.assign(rb.nblocks, 0.0);
-    rb.flags.assign(rb.nblocks, 0);
-    rb.func_words.assign(rb.nblocks * fwords_, 0);
-    rb.sync_words.assign(rb.nblocks * swords_, 0);
-    for (std::size_t b = 0; b < rb.nblocks; ++b) {
-      const std::size_t i0 = b * block_size_;
-      const std::size_t i1 = std::min(n, i0 + block_size_);
-      // Both time columns are non-decreasing (ExecutionTrace::validate),
-      // so the block extremes are its first t0 and last t1.
-      rb.min_t0[b] = rb.t0[i0];
-      rb.max_t1[b] = rb.t1[i1 - 1];
+    const std::size_t n = ivs.size();
+    const std::size_t nblocks = (n + kBlockSize - 1) / kBlockSize;
+    rb.num_intervals = n;
+    rb.blocks.assign(nblocks, Block{});
+    rb.func_words.assign(nblocks * fwords_, 0);
+    rb.sync_words.assign(nblocks * swords_, 0);
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      const std::size_t i0 = b * kBlockSize;
+      const std::size_t i1 = std::min(n, i0 + kBlockSize);
+      Block& block = rb.blocks[b];
+      // End times are non-decreasing, so the block's last t1 is its max.
+      block.max_t1 = ivs[i1 - 1].t1;
       std::uint64_t* fw = rb.func_words.data() + b * fwords_;
       std::uint64_t* sw = rb.sync_words.data() + b * swords_;
       for (std::size_t i = i0; i < i1; ++i) {
-        const std::size_t s = rb.state[i];
-        const double d = rb.t1[i] - rb.t0[i];
-        rb.state_total[s][b] += d;
-        rb.state_max[s][b] = std::max(rb.state_max[s][b], d);
-        fw[rb.fslot[i] / 64] |= std::uint64_t{1} << (rb.fslot[i] % 64);
-        if (s == kSyncWaitState) {
-          if (rb.sync[i] == simmpi::kNoSyncObject)
-            rb.flags[b] |= kHasUnsyncedWait;
-          else
-            sw[static_cast<std::size_t>(rb.sync[i]) / 64] |=
-                std::uint64_t{1} << (static_cast<std::size_t>(rb.sync[i]) % 64);
-        }
+        const Interval& iv = ivs[i];
+        const std::size_t s = static_cast<std::size_t>(iv.state);
+        block.state_total[s] += iv.t1 - iv.t0;
+        set_bit(fw, iv.func == simmpi::kNoFunc ? nfuncs : static_cast<std::size_t>(iv.func));
+        if (s == kSyncWaitState && iv.sync_object != simmpi::kNoSyncObject)
+          set_bit(sw, static_cast<std::size_t>(iv.sync_object));
       }
     }
   }
 }
 
-std::array<bool, BlockIndex::kNumStates> BlockIndex::effective_states(
-    const FocusFilter& filter, MetricKind metric) {
-  auto states = accepted_states(metric);
-  if (!filter.sync_unconstrained) {
-    // Only SyncWait intervals carrying a selected object can match.
-    states[0] = false;
-    states[2] = false;
-  }
-  return states;
-}
-
 std::size_t BlockIndex::block_end(int rank, std::size_t b) const {
-  const RankBlocks& rb = ranks_[static_cast<std::size_t>(rank)];
-  return std::min(rb.t0.size(), (b + 1) * block_size_);
+  return std::min(ranks_[static_cast<std::size_t>(rank)].num_intervals, (b + 1) * kBlockSize);
 }
 
-bool BlockIndex::may_contribute(const RankBlocks& rb, std::size_t b,
-                                const std::array<bool, kNumStates>& states,
-                                const FocusFilter& filter) const {
+bool BlockIndex::block_may_contribute(int rank, std::size_t b, const FocusFilter& filter,
+                                      MetricKind metric) const {
+  const RankBlocks& rb = ranks_[static_cast<std::size_t>(rank)];
+  // Only SyncWait intervals carrying a selected object can match a
+  // sync-constrained filter.
+  std::array<bool, kNumStates> states = metric_states(metric);
+  if (!filter.sync_unconstrained) states[0] = states[2] = false;
+
   // Accepted states hold zero time in the block → zero contribution
   // (zero-duration intervals clip to zero in every evaluation path).
   double total = 0.0;
   for (std::size_t s = 0; s < kNumStates; ++s)
-    if (states[s]) total += rb.state_total[s][b];
+    if (states[s]) total += rb.blocks[b].state_total[s];
   if (total == 0.0) return false;
 
   // Function coverage: no interval's function slot is accepted → nothing
@@ -153,136 +88,6 @@ bool BlockIndex::may_contribute(const RankBlocks& rb, std::size_t b,
     if (shit == 0) return false;
   }
   return true;
-}
-
-bool BlockIndex::block_may_contribute(int rank, std::size_t b, const FocusFilter& filter,
-                                      MetricKind metric) const {
-  return may_contribute(ranks_[static_cast<std::size_t>(rank)], b,
-                        effective_states(filter, metric), filter);
-}
-
-bool BlockIndex::fully_covered(const RankBlocks& rb, std::size_t b,
-                               const FocusFilter& filter) const {
-  // Every function slot present in the block must be accepted.
-  const std::uint64_t* fw = rb.func_words.data() + b * fwords_;
-  for (std::size_t w = 0; w < fwords_; ++w)
-    if (fw[w] & ~filter.func_words[w]) return false;
-  if (filter.sync_unconstrained) return true;
-  // Sync-constrained: every SyncWait interval must carry a selected
-  // object (unsynced waits can never match).
-  if (rb.flags[b] & kHasUnsyncedWait) return false;
-  const std::uint64_t* sw = rb.sync_words.data() + b * swords_;
-  for (std::size_t w = 0; w < swords_; ++w)
-    if (sw[w] & ~filter.sync_words[w]) return false;
-  return true;
-}
-
-double BlockIndex::kernel_sum(const RankBlocks& rb, std::size_t i0, std::size_t i1,
-                              const std::array<bool, kNumStates>& states,
-                              const FocusFilter& filter) const {
-  const std::size_t n = i1 - i0;
-  static thread_local std::vector<std::uint8_t> mask_buf;
-  mask_buf.resize(n);
-  std::uint8_t* mask = mask_buf.data();
-  const bool acc[3] = {states[0], states[1], states[2]};
-  simd::build_state_mask(mask, rb.state.data() + i0, acc, n, level_);
-  if (!filter.all_funcs)
-    for (std::size_t i = 0; i < n; ++i)
-      if (mask[i] && !word_bit(filter.func_words, rb.fslot[i0 + i])) mask[i] = 0;
-  if (!filter.sync_unconstrained) {
-    // The state mask already restricts to SyncWait (effective_states).
-    for (std::size_t i = 0; i < n; ++i) {
-      const simmpi::SyncObjectId so = rb.sync[i0 + i];
-      if (mask[i] &&
-          (so == simmpi::kNoSyncObject ||
-           !word_bit(filter.sync_words, static_cast<std::size_t>(so))))
-        mask[i] = 0;
-    }
-  }
-  return simd::masked_sum(rb.t0.data() + i0, rb.t1.data() + i0, mask, n, level_);
-}
-
-double BlockIndex::query_rank(int rank, const FocusFilter& filter, MetricKind metric,
-                              double t0, double t1) const {
-  const RankBlocks& rb = ranks_[static_cast<std::size_t>(rank)];
-  if (t1 <= t0 || rb.t0.empty()) return 0.0;
-  // Intervals intersecting [t0, t1) are the contiguous range [lo, hi) —
-  // identical bounds to IntervalIndex::query_rank.
-  const std::size_t lo = static_cast<std::size_t>(
-      std::upper_bound(rb.t1.begin(), rb.t1.end(), t0) - rb.t1.begin());
-  const std::size_t hi = static_cast<std::size_t>(
-      std::lower_bound(rb.t0.begin(), rb.t0.end(), t1) - rb.t0.begin());
-  if (lo >= hi) return 0.0;
-
-  const auto states = effective_states(filter, metric);
-  double v = 0.0;
-  // Only the range's first and last interval can straddle a window edge;
-  // evaluate them directly so clipping matches the index and scan paths.
-  auto clip_add = [&](std::size_t i) {
-    if (!states[rb.state[i]]) return;
-    if (!word_bit(filter.func_words, rb.fslot[i])) return;
-    if (!filter.sync_unconstrained &&
-        (rb.sync[i] == simmpi::kNoSyncObject ||
-         !word_bit(filter.sync_words, static_cast<std::size_t>(rb.sync[i]))))
-      return;
-    const double a = std::max(rb.t0[i], t0);
-    const double b = std::min(rb.t1[i], t1);
-    if (b > a) v += b - a;
-  };
-  if (hi - lo <= 2) {
-    for (std::size_t i = lo; i < hi; ++i) clip_add(i);
-    return v;
-  }
-  clip_add(lo);
-
-  // Interior positions [lo+1, hi-1) are fully contained in the window:
-  // classify block by block from the summaries.
-  const std::size_t a = lo + 1, b = hi - 1;
-  std::uint64_t visited = 0, skipped = 0, summed = 0, kernel = 0;
-  for (std::size_t blk = a / block_size_; blk * block_size_ < b; ++blk) {
-    const std::size_t i0 = std::max(a, blk * block_size_);
-    const std::size_t i1 = std::min(b, std::min(rb.t0.size(), (blk + 1) * block_size_));
-    ++visited;
-    if (!may_contribute(rb, blk, states, filter)) {
-      ++skipped;
-      continue;
-    }
-    const bool whole_block =
-        i0 == blk * block_size_ && i1 == std::min(rb.t0.size(), (blk + 1) * block_size_);
-    if (whole_block && fully_covered(rb, blk, filter)) {
-      for (std::size_t s = 0; s < kNumStates; ++s)
-        if (states[s]) v += rb.state_total[s][blk];
-      ++summed;
-    } else {
-      v += kernel_sum(rb, i0, i1, states, filter);
-      ++kernel;
-    }
-  }
-  stat_visited_.fetch_add(visited, std::memory_order_relaxed);
-  stat_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  stat_summed_.fetch_add(summed, std::memory_order_relaxed);
-  stat_kernel_.fetch_add(kernel, std::memory_order_relaxed);
-
-  clip_add(hi - 1);
-  return v;
-}
-
-double BlockIndex::query(const FocusFilter& filter, MetricKind metric, double t0,
-                         double t1) const {
-  double v = 0.0;
-  for (std::size_t r = 0; r < ranks_.size(); ++r)
-    if (filter.rank_selected(static_cast<int>(r)))
-      v += query_rank(static_cast<int>(r), filter, metric, t0, t1);
-  return v;
-}
-
-BlockIndex::Stats BlockIndex::stats() const {
-  Stats s;
-  s.blocks_visited = stat_visited_.load(std::memory_order_relaxed);
-  s.blocks_skipped = stat_skipped_.load(std::memory_order_relaxed);
-  s.blocks_summed = stat_summed_.load(std::memory_order_relaxed);
-  s.blocks_kernel = stat_kernel_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace histpc::metrics

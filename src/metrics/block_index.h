@@ -1,44 +1,27 @@
-// BlockIndex: block-max summaries over the SoA trace columns, the
-// skip-then-SIMD evaluation tier above the interval index.
+// BlockIndex: per-block summaries of each rank's intervals, which let
+// MetricBatch skip blocks that provably contribute nothing.
 //
 // Per rank, intervals are grouped into fixed-size blocks of consecutive
-// postings; each block stores
+// positions; each block stores
 //
-//  * min/max timestamps (first t0, last t1 — both columns are
-//    non-decreasing, ExecutionTrace::validate),
-//  * total and max duration per interval state,
+//  * its last end time (t1 is non-decreasing, ExecutionTrace::validate),
+//  * the total duration per interval state,
 //  * coverage bitmaps: which FuncIds (plus a trailing no-function slot)
-//    and which sync objects appear in the block,
+//    and which sync objects appear in the block.
 //
-// so a windowed metric query can classify each block without touching its
-// intervals — the block-max-WAND idiom from search engines:
-//
-//  * SKIP: the accepted states hold zero time, or the filter's
-//    function/sync words miss every interval in the block;
-//  * SUM: the block lies entirely inside the window and the filter
-//    provably covers every interval that the accepted states select —
-//    accumulate the per-state totals, O(1);
-//  * KERNEL: otherwise run the vectorized masked sum (simd_kernels.h)
-//    over the block's (sub)range of the columns.
-//
-// The window's (up to two) straddling intervals are clipped directly,
-// exactly like IntervalIndex, so clipping semantics match the oracles.
-// Values agree with the interval-index and scan oracles to floating-point
-// summation order (blocks group additions differently); the equivalence —
-// and the bit-identity of the three SIMD dispatch levels — is
-// property-tested in block_max_test.cpp. MetricBatch uses only the SKIP
-// classification (block_may_contribute), which elides provably-zero work
-// and therefore keeps diagnosis values bit-identical.
+// A (filter, metric) pair whose accepted states hold zero time in a block,
+// or whose function/sync words miss every interval in it, cannot match
+// anything there: block_may_contribute returns false and MetricBatch jumps
+// the block. Only exactly-zero contributions are elided, so diagnosis
+// values stay bit-identical to the plain interval walk.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "metrics/metric.h"
 #include "simmpi/trace.h"
-#include "util/cpu_features.h"
 
 namespace histpc::metrics {
 
@@ -46,109 +29,49 @@ struct FocusFilter;
 
 class BlockIndex {
  public:
-  /// Postings per block. 128 keeps a block's summary row in one cache line
-  /// neighbourhood while amortizing the classification to <1% of a block's
-  /// interval work.
-  static constexpr std::size_t kDefaultBlockSize = 128;
+  /// Positions per block. 128 keeps a block's summary row in one cache line
+  /// neighbourhood while amortizing the probe to <1% of a block's interval
+  /// work.
+  static constexpr std::size_t kBlockSize = 128;
 
-  /// Query-path classification counters (relaxed atomics: the index is
-  /// shared read-mostly across parallel variant runs).
-  struct Stats {
-    std::uint64_t blocks_visited = 0;  ///< blocks classified by queries
-    std::uint64_t blocks_skipped = 0;  ///< rejected from the summary alone
-    std::uint64_t blocks_summed = 0;   ///< O(1) accumulated from totals
-    std::uint64_t blocks_kernel = 0;   ///< masked-sum kernel runs
-  };
+  /// Builds the summaries in one linear pass over the trace's intervals.
+  explicit BlockIndex(const simmpi::ExecutionTrace& trace);
 
-  /// Builds columns and summaries in one linear pass. When `columns`
-  /// mirrors the trace (e.g. decoded from a binary snapshot on a
-  /// trace-cache hit) the time/state/func/sync columns are adopted by bulk
-  /// copy. `block_size` must be >= 1; `level` defaults to the process-wide
-  /// runtime dispatch and is overridable for forced-scalar tests.
-  explicit BlockIndex(const simmpi::ExecutionTrace& trace,
-                      const simmpi::TraceColumns* columns = nullptr,
-                      std::size_t block_size = kDefaultBlockSize,
-                      util::SimdLevel level = util::cpu_features().selected);
-
-  /// Metric seconds accumulated in [t0, t1) across the filter's selected
-  /// ranks. `filter` must be finalized (TraceView::compile qualifies).
-  double query(const FocusFilter& filter, MetricKind metric, double t0, double t1) const;
-
-  /// Single-rank variant; does not check the filter's rank selection.
-  double query_rank(int rank, const FocusFilter& filter, MetricKind metric, double t0,
-                    double t1) const;
-
-  std::size_t block_size() const { return block_size_; }
-  util::SimdLevel simd_level() const { return level_; }
-  Stats stats() const;
-
-  // --- per-block summary probes (MetricBatch's skip path) ---------------
   std::size_t num_blocks(int rank) const {
-    return ranks_[static_cast<std::size_t>(rank)].nblocks;
+    return ranks_[static_cast<std::size_t>(rank)].blocks.size();
   }
   /// Interval position one past block `b`'s last interval on `rank`.
   std::size_t block_end(int rank, std::size_t b) const;
-  double block_min_t0(int rank, std::size_t b) const {
-    return ranks_[static_cast<std::size_t>(rank)].min_t0[b];
-  }
   double block_max_t1(int rank, std::size_t b) const {
-    return ranks_[static_cast<std::size_t>(rank)].max_t1[b];
+    return ranks_[static_cast<std::size_t>(rank)].blocks[b].max_t1;
   }
   /// True unless the summary proves no interval in the block can
   /// contribute to (filter, metric). A false return is a proof of zero
-  /// contribution for any time window.
+  /// contribution for any time window. `filter` must be finalized
+  /// (TraceView::compile qualifies).
   bool block_may_contribute(int rank, std::size_t b, const FocusFilter& filter,
                             MetricKind metric) const;
 
  private:
   static constexpr std::size_t kNumStates = 3;  // Cpu, SyncWait, IoWait
-  /// Block flag: some SyncWait interval carries no sync object (it can
-  /// never match a sync-constrained filter, but blocks full-coverage SUM).
-  static constexpr std::uint8_t kHasUnsyncedWait = 1;
 
-  struct RankBlocks {
-    // Interval columns (SoA). fslot maps kNoFunc to the trailing slot
-    // (nfuncs), matching the FocusFilter::func_words bit layout.
-    std::vector<double> t0, t1;
-    std::vector<std::uint8_t> state;
-    std::vector<std::uint32_t> fslot;
-    std::vector<std::int32_t> sync;
-    // Per-block summaries, indexed [block] (word bitmaps [block * words]).
-    std::vector<double> min_t0, max_t1;
-    std::array<std::vector<double>, kNumStates> state_total;
-    std::array<std::vector<double>, kNumStates> state_max;
-    std::vector<std::uint8_t> flags;
-    std::vector<std::uint64_t> func_words;
-    std::vector<std::uint64_t> sync_words;
-    std::size_t nblocks = 0;
+  struct Block {
+    double max_t1 = 0.0;
+    std::array<double, kNumStates> state_total{};
   };
 
-  /// States that can contribute under (filter, metric): accepted_states of
-  /// the metric, intersected with {SyncWait} when the filter is
-  /// sync-constrained.
-  static std::array<bool, kNumStates> effective_states(const FocusFilter& filter,
-                                                       MetricKind metric);
+  struct RankBlocks {
+    std::size_t num_intervals = 0;
+    std::vector<Block> blocks;
+    // Coverage bitmaps, indexed [block * words]. Function slot nfuncs
+    // stands for kNoFunc, matching the FocusFilter::func_words layout.
+    std::vector<std::uint64_t> func_words;
+    std::vector<std::uint64_t> sync_words;
+  };
 
-  bool may_contribute(const RankBlocks& rb, std::size_t b,
-                      const std::array<bool, kNumStates>& states,
-                      const FocusFilter& filter) const;
-  bool fully_covered(const RankBlocks& rb, std::size_t b, const FocusFilter& filter) const;
-
-  /// Masked-sum kernel over column positions [i0, i1) of one rank.
-  double kernel_sum(const RankBlocks& rb, std::size_t i0, std::size_t i1,
-                    const std::array<bool, kNumStates>& states,
-                    const FocusFilter& filter) const;
-
-  std::size_t block_size_;
-  util::SimdLevel level_;
   std::size_t fwords_ = 1;  ///< words per block func bitmap (nfuncs+1 bits)
   std::size_t swords_ = 0;  ///< words per block sync bitmap
   std::vector<RankBlocks> ranks_;
-
-  mutable std::atomic<std::uint64_t> stat_visited_{0};
-  mutable std::atomic<std::uint64_t> stat_skipped_{0};
-  mutable std::atomic<std::uint64_t> stat_summed_{0};
-  mutable std::atomic<std::uint64_t> stat_kernel_{0};
 };
 
 }  // namespace histpc::metrics

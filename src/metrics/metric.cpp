@@ -22,4 +22,14 @@ bool metric_supports_sync_constraint(MetricKind kind) {
   return kind == MetricKind::SyncWaitTime;
 }
 
+std::array<bool, 3> metric_states(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::CpuTime: return {true, false, false};
+    case MetricKind::SyncWaitTime: return {false, true, false};
+    case MetricKind::IoWaitTime: return {false, false, true};
+    case MetricKind::ExecTime: return {true, true, true};
+  }
+  return {false, false, false};
+}
+
 }  // namespace histpc::metrics

@@ -2,6 +2,7 @@
 // Consultant's hypotheses are computed from (Paradyn's metric layer).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,5 +27,10 @@ std::optional<MetricKind> metric_from_name(std::string_view name);
 /// synchronization-object dimension: constraining it yields zero — the
 /// wasted tests the paper's general pruning directives eliminate.
 bool metric_supports_sync_constraint(MetricKind kind);
+
+/// Which interval states contribute to `kind`, indexed like
+/// simmpi::IntervalState (Cpu, SyncWait, IoWait). Mirrors the state switch
+/// in FocusFilter::matches.
+std::array<bool, 3> metric_states(MetricKind kind);
 
 }  // namespace histpc::metrics

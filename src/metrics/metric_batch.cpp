@@ -50,7 +50,6 @@ void MetricBatch::process_rank(std::size_t r, double to, BlockCounters& counters
   const auto& ivs = view_.trace().ranks[r].intervals;
   const std::vector<SlotId>& fanout = rank_slots_[r];
   const BlockIndex& blocks = view_.blocks();
-  const std::size_t bsize = blocks.block_size();
   const int rank = static_cast<int>(r);
   std::size_t pos = rank_pos_[r];
   while (pos < ivs.size() && ivs[pos].t0 < to) {
@@ -63,7 +62,7 @@ void MetricBatch::process_rank(std::size_t r, double to, BlockCounters& counters
     // a zero-duration interval clips to hi <= lo and a summary reject
     // means matches() is false or the clip is empty for every interval —
     // so slot values stay bit-identical to the plain walk.
-    const std::size_t b = pos / bsize;
+    const std::size_t b = pos / BlockIndex::kBlockSize;
     const double block_max_t1 = blocks.block_max_t1(rank, b);
     if (block_max_t1 <= to) {
       ++counters.considered;
@@ -128,13 +127,6 @@ void MetricBatch::advance_all(double to) {
     registry_->add("metrics.batch.intervals", consumed_after - consumed_before);
     registry_->add("metrics.batch.blocks_considered", bc.considered);
     registry_->add("metrics.batch.blocks_skipped", bc.skipped);
-    // Cumulative classification stats from the view's block-max tier
-    // (populated by query_blocks callers; the batch path skips only).
-    const BlockIndex::Stats bs = view_.blocks().stats();
-    registry_->gauge_set("metrics.blocks.summary_skips",
-                         static_cast<double>(bs.blocks_skipped));
-    registry_->gauge_set("metrics.blocks.simd_kernel_runs",
-                         static_cast<double>(bs.blocks_kernel));
   }
 }
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "metrics/block_index.h"
-#include "metrics/interval_index.h"
 #include "metrics/metric_instance.h"
 #include "util/strings.h"
 
@@ -15,6 +14,12 @@ using resources::ResourceDb;
 using simmpi::ExecutionTrace;
 using simmpi::Interval;
 using simmpi::IntervalState;
+
+namespace {
+
+constexpr std::size_t kSyncWaitState = static_cast<std::size_t>(IntervalState::SyncWait);
+
+}  // namespace
 
 bool FocusFilter::matches(const Interval& iv, MetricKind metric) const {
   // State/metric correspondence first (cheapest reject).
@@ -67,7 +72,7 @@ void FocusFilter::finalize() {
       if (sync_objects[s]) sync_words[s / 64] |= std::uint64_t{1} << (s % 64);
 }
 
-TraceView::TraceView(const ExecutionTrace& trace, const simmpi::TraceColumns* columns)
+TraceView::TraceView(const ExecutionTrace& trace)
     : trace_(trace), db_(ResourceDb::with_standard_hierarchies()) {
   auto& code = db_.hierarchy(resources::kCodeHierarchy);
   for (const auto& f : trace.functions) {
@@ -81,9 +86,8 @@ TraceView::TraceView(const ExecutionTrace& trace, const simmpi::TraceColumns* co
   auto& sync = db_.hierarchy(resources::kSyncObjectHierarchy);
   for (const auto& s : trace.sync_objects) sync.add_path("/SyncObject/" + s);
 
-  compute_discovery_times();
-  index_ = std::make_unique<IntervalIndex>(trace_, columns);
-  blocks_ = std::make_unique<BlockIndex>(trace_, columns);
+  walk_intervals();
+  blocks_ = std::make_unique<BlockIndex>(trace_);
   // The db is complete from here on: the table's hierarchy snapshot and
   // the per-ResourceId discovery vectors stay valid for the view's life.
   foci_ = std::make_unique<resources::FocusTable>(db_);
@@ -99,22 +103,81 @@ TraceView::TraceView(const ExecutionTrace& trace, const simmpi::TraceColumns* co
 
 TraceView::~TraceView() = default;
 
-void TraceView::compute_discovery_times() {
+void TraceView::walk_intervals() {
   // Machine and process resources are known at startup.
   for (const auto& n : trace_.machine.node_names) discovery_["/Machine/" + n] = 0.0;
   for (const auto& p : trace_.machine.process_names) discovery_["/Process/" + p] = 0.0;
 
-  // Functions, modules, and sync objects appear when first executed. One
-  // linear pass; intervals are time-sorted per rank, so the first sighting
-  // per rank is the earliest on that rank.
-  std::vector<double> func_first(trace_.functions.size(),
-                                 std::numeric_limits<double>::infinity());
-  std::vector<double> sync_first(trace_.sync_objects.size(),
-                                 std::numeric_limits<double>::infinity());
-  for (const auto& rank : trace_.ranks) {
-    std::vector<bool> func_seen(trace_.functions.size(), false);
-    std::vector<bool> sync_seen(trace_.sync_objects.size(), false);
-    for (const auto& iv : rank.intervals) {
+  // Functions, modules, and sync objects appear when first executed.
+  // Intervals are time-sorted per rank, so the first sighting per rank is
+  // the earliest on that rank.
+  //
+  // The same walk takes each rank's whole-run totals (RankTotals). The
+  // intervals intersecting [0, duration) are the contiguous positions
+  // [lo, hi), and query_rank answers clip(lo) + interior + clip(hi-1).
+  // Exactness: each interior total is the difference of two running sums
+  // that start at the rank's first interval and add durations in interval
+  // order, one taken before position lo+1 and one before hi-1. That is bit
+  // for bit what prefix-sum arrays over the timeline would give, without
+  // keeping the arrays. query_rank adds the totals in a fixed order
+  // (states; or selected functions by id, then no-function; or selected
+  // sync objects by id), so the goldens' whole-run values hold. A filter
+  // constrained on both SyncObject and Code has no total: it walks each
+  // selected object's interior SyncWait positions in order instead.
+  const std::size_t nfuncs = trace_.functions.size();
+  const std::size_t nsync = trace_.sync_objects.size();
+  std::vector<double> func_first(nfuncs, std::numeric_limits<double>::infinity());
+  std::vector<double> sync_first(nsync, std::numeric_limits<double>::infinity());
+  totals_.resize(trace_.ranks.size());
+  for (std::size_t r = 0; r < trace_.ranks.size(); ++r) {
+    const std::vector<Interval>& ivs = trace_.ranks[r].intervals;
+    RankTotals& rt = totals_[r];
+    rt.lo = static_cast<std::size_t>(
+        std::upper_bound(ivs.begin(), ivs.end(), 0.0,
+                         [](double t, const Interval& iv) { return t < iv.t1; }) -
+        ivs.begin());
+    rt.hi = static_cast<std::size_t>(
+        std::lower_bound(ivs.begin(), ivs.end(), trace_.duration,
+                         [](const Interval& iv, double t) { return iv.t0 < t; }) -
+        ivs.begin());
+    const bool interior = rt.hi > rt.lo + 2;
+    const std::size_t first = rt.lo + 1, last = rt.hi - 1;  // interior [first, last)
+    std::array<double, kNumStates> state_sum{};
+    std::vector<double> func_state_sum;
+    std::vector<double> sync_sum;
+    if (interior) {
+      func_state_sum.assign((nfuncs + 1) * kNumStates, 0.0);
+      sync_sum.assign(nsync, 0.0);
+      rt.sync_positions.resize(nsync);
+    }
+
+    std::vector<bool> func_seen(nfuncs, false);
+    std::vector<bool> sync_seen(nsync, false);
+    for (std::size_t i = 0; i < ivs.size(); ++i) {
+      const Interval& iv = ivs[i];
+      if (interior && i < last) {
+        if (i == first) {
+          rt.state = state_sum;
+          rt.func_state = func_state_sum;
+          rt.sync = sync_sum;
+        }
+        const std::size_t s = static_cast<std::size_t>(iv.state);
+        const std::size_t slot =
+            iv.func == simmpi::kNoFunc ? nfuncs : static_cast<std::size_t>(iv.func);
+        const double d = iv.t1 - iv.t0;
+        state_sum[s] += d;
+        func_state_sum[slot * kNumStates + s] += d;
+        if (s == kSyncWaitState && iv.sync_object != simmpi::kNoSyncObject) {
+          const auto obj = static_cast<std::size_t>(iv.sync_object);
+          sync_sum[obj] += d;
+          if (i >= first) rt.sync_positions[obj].push_back(static_cast<std::uint32_t>(i));
+        }
+      } else if (interior && i == last) {
+        for (std::size_t s = 0; s < kNumStates; ++s) rt.state[s] = state_sum[s] - rt.state[s];
+        for (std::size_t k = 0; k < func_state_sum.size(); ++k)
+          rt.func_state[k] = func_state_sum[k] - rt.func_state[k];
+        for (std::size_t k = 0; k < nsync; ++k) rt.sync[k] = sync_sum[k] - rt.sync[k];
+      }
       if (iv.func != simmpi::kNoFunc && !func_seen[iv.func]) {
         func_seen[iv.func] = true;
         func_first[iv.func] = std::min(func_first[iv.func], iv.t0);
@@ -239,25 +302,74 @@ const FocusFilter& TraceView::compiled(const Focus& focus) const {
   return compiled(foci_->intern(focus));
 }
 
-double TraceView::query(MetricKind metric, const Focus& focus, double t0, double t1) const {
-  return query(metric, compiled(focus), t0, t1);
+double TraceView::query(MetricKind metric, const Focus& focus) const {
+  return query(metric, compiled(focus));
 }
 
-double TraceView::query(MetricKind metric, const FocusFilter& filter, double t0,
-                        double t1) const {
-  return index_->query(filter, metric, t0, t1);
+double TraceView::query(MetricKind metric, const FocusFilter& filter) const {
+  if (trace_.duration <= 0.0) return 0.0;
+  double v = 0.0;
+  for (std::size_t r = 0; r < totals_.size(); ++r)
+    if (filter.rank_selected(static_cast<int>(r))) v += query_rank(r, filter, metric);
+  return v;
 }
 
-double TraceView::query_blocks(MetricKind metric, const FocusFilter& filter, double t0,
-                               double t1) const {
-  return blocks_->query(filter, metric, t0, t1);
-}
+double TraceView::query_rank(std::size_t rank, const FocusFilter& filter,
+                             MetricKind metric) const {
+  const RankTotals& rt = totals_[rank];
+  if (rt.lo >= rt.hi) return 0.0;
+  const std::vector<Interval>& ivs = trace_.ranks[rank].intervals;
+  double v = 0.0;
+  // Only the range's first and last interval can straddle the run's edges;
+  // evaluate them directly so clipping matches a MetricInstance scan.
+  auto clip_add = [&](std::size_t i) {
+    const Interval& iv = ivs[i];
+    if (!filter.matches(iv, metric)) return;
+    const double a = std::max(iv.t0, 0.0);
+    const double b = std::min(iv.t1, trace_.duration);
+    if (b > a) v += b - a;
+  };
+  if (rt.hi - rt.lo <= 2) {
+    for (std::size_t i = rt.lo; i < rt.hi; ++i) clip_add(i);
+    return v;
+  }
+  clip_add(rt.lo);
 
-double TraceView::query_scan(MetricKind metric, const FocusFilter& filter, double t0,
-                             double t1) const {
-  MetricInstance inst(*this, metric, filter, t0);
-  inst.advance(t1);
-  return inst.value();
+  const std::array<bool, kNumStates> states = metric_states(metric);
+  double interior = 0.0;
+  if (!filter.sync_unconstrained) {
+    // Only SyncWait intervals carrying a selected object can match.
+    if (states[kSyncWaitState]) {
+      for (std::int32_t obj : filter.selected_syncs) {
+        const auto o = static_cast<std::size_t>(obj);
+        if (filter.all_funcs) {
+          interior += rt.sync[o];
+          continue;
+        }
+        for (std::uint32_t pos : rt.sync_positions[o]) {
+          const Interval& iv = ivs[pos];
+          const bool accepted = iv.func == simmpi::kNoFunc
+                                    ? filter.accept_nofunc
+                                    : filter.funcs[static_cast<std::size_t>(iv.func)];
+          if (accepted) interior += iv.t1 - iv.t0;
+        }
+      }
+    }
+  } else if (filter.all_funcs) {
+    for (std::size_t s = 0; s < kNumStates; ++s)
+      if (states[s]) interior += rt.state[s];
+  } else {
+    auto add_slot = [&](std::size_t slot) {
+      for (std::size_t s = 0; s < kNumStates; ++s)
+        if (states[s]) interior += rt.func_state[slot * kNumStates + s];
+    };
+    for (std::int32_t f : filter.selected_funcs) add_slot(static_cast<std::size_t>(f));
+    if (filter.accept_nofunc) add_slot(trace_.functions.size());
+  }
+  v += interior;
+
+  clip_add(rt.hi - 1);
+  return v;
 }
 
 std::vector<double> TraceView::fraction_series(MetricKind metric, const Focus& focus,
@@ -279,15 +391,14 @@ std::vector<double> TraceView::fraction_series(MetricKind metric, const Focus& f
   return out;
 }
 
-double TraceView::fraction(MetricKind metric, const Focus& focus, double t0, double t1) const {
-  return fraction(metric, compiled(focus), t0, t1);
+double TraceView::fraction(MetricKind metric, const Focus& focus) const {
+  return fraction(metric, compiled(focus));
 }
 
-double TraceView::fraction(MetricKind metric, const FocusFilter& filter, double t0,
-                           double t1) const {
-  const double window = t1 - t0;
+double TraceView::fraction(MetricKind metric, const FocusFilter& filter) const {
+  const double window = trace_.duration;
   if (window <= 0.0 || filter.num_selected_ranks == 0) return 0.0;
-  return query(metric, filter, t0, t1) / (window * filter.num_selected_ranks);
+  return query(metric, filter) / (window * filter.num_selected_ranks);
 }
 
 }  // namespace histpc::metrics

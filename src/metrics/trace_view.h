@@ -1,9 +1,12 @@
 // TraceView: the bridge between a simulated execution and the diagnosis
 // layers. It derives the program's resource hierarchies from the trace,
 // compiles foci into fast per-interval filters (cached by interned focus
-// id), and answers window queries through a columnar interval index.
+// id), answers whole-run queries from per-rank totals, and holds the block
+// summaries MetricBatch skips with. Windowed values come from
+// MetricInstance (or MetricBatch), which see only data after their start.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -20,7 +23,6 @@
 namespace histpc::metrics {
 
 class BlockIndex;
-class IntervalIndex;
 
 /// A Focus compiled against one trace: constant-time per-interval matching.
 struct FocusFilter {
@@ -37,14 +39,14 @@ struct FocusFilter {
 
   int num_selected_ranks = 0;
 
-  /// Derived selections (finalize() computes them; the interval index
-  /// dispatches on them instead of re-scanning the bitmaps per query).
+  /// Derived selections (finalize() computes them; whole-run queries
+  /// dispatch on them instead of re-scanning the bitmaps per query).
   bool all_funcs = true;                     ///< every function + nofunc accepted
   std::vector<std::int32_t> selected_funcs;  ///< accepted FuncIds when !all_funcs
   std::vector<std::int32_t> selected_syncs;  ///< accepted ids when !sync_unconstrained
 
-  /// Word-packed twins of the acceptance bitmaps for the block-max engine's
-  /// summary intersections: bit f of func_words mirrors funcs[f], and one
+  /// Word-packed twins of the acceptance bitmaps for BlockIndex's summary
+  /// intersections: bit f of func_words mirrors funcs[f], and one
   /// extra trailing bit (index funcs.size()) mirrors accept_nofunc — the
   /// same slot layout BlockIndex uses for its per-block coverage words.
   /// sync_words is empty while sync_unconstrained.
@@ -64,29 +66,22 @@ struct FocusFilter {
 
   /// Recompute num_selected_ranks and the derived selection lists from the
   /// bitmaps. TraceView::compile calls this; hand-built filters must too
-  /// before reaching the interval index.
+  /// before they are queried.
   void finalize();
 };
 
 class TraceView {
  public:
-  /// Builds resource hierarchies and the interval index from the trace.
-  /// The view keeps a reference to `trace`; the trace must outlive the
-  /// view. `columns` — the SoA buffers decoded from a binary trace
-  /// snapshot — lets the interval index adopt ready-made columns instead
-  /// of re-deriving them (see IntervalIndex); it is only read during
-  /// construction.
-  explicit TraceView(const simmpi::ExecutionTrace& trace,
-                     const simmpi::TraceColumns* columns = nullptr);
+  /// Builds resource hierarchies, discovery times, whole-run totals and
+  /// block summaries from the trace. The view keeps a reference to
+  /// `trace`; the trace must outlive the view.
+  explicit TraceView(const simmpi::ExecutionTrace& trace);
   ~TraceView();
-  TraceView(TraceView&&) = default;
 
   const simmpi::ExecutionTrace& trace() const { return trace_; }
   const resources::ResourceDb& resources() const { return db_; }
-  const IntervalIndex& index() const { return *index_; }
-  /// The block-max summary tier (block_index.h). MetricBatch consults its
-  /// per-block probes to skip provably-zero blocks; query_blocks() serves
-  /// whole windows through its skip/sum/SIMD-kernel classification.
+  /// Per-block summaries (block_index.h): MetricBatch consults them to
+  /// skip blocks that provably contribute nothing.
   const BlockIndex& blocks() const { return *blocks_; }
 
   /// The focus interner over this view's (immutable) resource db. Returned
@@ -110,27 +105,19 @@ class TraceView {
   /// compiled(foci().intern(focus)): the same cache entry as the id.
   const FocusFilter& compiled(const resources::Focus& focus) const;
 
-  /// Direct whole-window query: metric seconds accumulated in [t0, t1).
-  /// Served by the interval index in O(log n) per rank.
-  double query(MetricKind metric, const resources::Focus& focus, double t0, double t1) const;
-  /// Overload for callers that already hold a compiled filter.
-  double query(MetricKind metric, const FocusFilter& filter, double t0, double t1) const;
+  /// Whole-run query: metric seconds accumulated in [0, trace().duration)
+  /// across the focus's selected ranks, read from the per-rank totals.
+  /// Agrees with a MetricInstance scan of the same window to
+  /// floating-point summation order.
+  double query(MetricKind metric, const resources::Focus& focus) const;
+  /// Overload for callers that already hold a compiled filter (it must be
+  /// finalized; TraceView::compile qualifies).
+  double query(MetricKind metric, const FocusFilter& filter) const;
 
-  /// Reference oracle: the same window query answered by a linear
-  /// MetricInstance scan. Kept for property-testing the indexed path.
-  double query_scan(MetricKind metric, const FocusFilter& filter, double t0, double t1) const;
-
-  /// The same window query answered by the block-max engine: skip blocks
-  /// the summaries prove empty, O(1)-accumulate fully-covered blocks, run
-  /// the SIMD masked-sum kernel over the rest. Agrees with query() and
-  /// query_scan() to floating-point summation order (property-tested in
-  /// block_max_test.cpp).
-  double query_blocks(MetricKind metric, const FocusFilter& filter, double t0,
-                      double t1) const;
-
-  /// Fraction of execution: query(...) normalized by window * selected ranks.
-  double fraction(MetricKind metric, const resources::Focus& focus, double t0, double t1) const;
-  double fraction(MetricKind metric, const FocusFilter& filter, double t0, double t1) const;
+  /// Whole-run fraction of execution: query(...) normalized by the
+  /// duration times the selected ranks; 0 for an empty run or selection.
+  double fraction(MetricKind metric, const resources::Focus& focus) const;
+  double fraction(MetricKind metric, const FocusFilter& filter) const;
 
   /// Time histogram (Paradyn's phase view): the metric's fraction of
   /// execution in each of `bins` equal slices of [t0, t1). Useful for
@@ -152,14 +139,38 @@ class TraceView {
   }
 
  private:
-  void compute_discovery_times();
+  static constexpr std::size_t kNumStates = 3;  // Cpu, SyncWait, IoWait
+
+  /// One rank's whole-run answer, less its clipped edges. The intervals
+  /// intersecting [0, duration) are the contiguous positions [lo, hi);
+  /// when hi - lo > 2, the interior [lo+1, hi-1) is summed here and the
+  /// two edge intervals are clipped at query time (see query_rank).
+  struct RankTotals {
+    std::size_t lo = 0, hi = 0;
+    /// Interior seconds per state.
+    std::array<double, kNumStates> state{};
+    /// Interior seconds per (function slot, state), at [slot * kNumStates
+    /// + state]; slot nfuncs stands for kNoFunc.
+    std::vector<double> func_state;
+    /// Interior SyncWait seconds per sync object.
+    std::vector<double> sync;
+    /// Interior SyncWait positions per sync object, ascending: the one
+    /// filter shape no total answers (SyncObject and Code both
+    /// constrained) walks these.
+    std::vector<std::vector<std::uint32_t>> sync_positions;
+  };
+
+  /// The one pass over every rank's intervals: first sightings for the
+  /// discovery times, and each rank's RankTotals.
+  void walk_intervals();
+  double query_rank(std::size_t rank, const FocusFilter& filter, MetricKind metric) const;
 
   const simmpi::ExecutionTrace& trace_;
   resources::ResourceDb db_;
   std::unordered_map<std::string, double> discovery_;
   /// discovery_ mirrored onto ResourceIds: [hierarchy][rid] (roots 0.0).
   std::vector<std::vector<double>> discovery_by_resource_;
-  std::unique_ptr<IntervalIndex> index_;
+  std::vector<RankTotals> totals_;
   std::unique_ptr<BlockIndex> blocks_;
   /// Focus interner over db_. unique_ptr: the table is non-movable and
   /// snapshots hierarchy pointers, which stay valid if the view moves.

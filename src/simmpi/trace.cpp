@@ -30,18 +30,6 @@ ExecutionTrace::StateTotals ExecutionTrace::totals() const {
   return sum;
 }
 
-bool TraceColumns::matches(const ExecutionTrace& trace) const {
-  if (ranks.size() != trace.ranks.size()) return false;
-  for (std::size_t r = 0; r < ranks.size(); ++r) {
-    const RankColumns& rc = ranks[r];
-    const std::size_t n = trace.ranks[r].intervals.size();
-    if (rc.t0.size() != n || rc.t1.size() != n || rc.state.size() != n ||
-        rc.func.size() != n || rc.sync.size() != n)
-      return false;
-  }
-  return true;
-}
-
 std::size_t ExecutionTrace::total_intervals() const {
   std::size_t n = 0;
   for (const RankTrace& rt : ranks) n += rt.intervals.size();

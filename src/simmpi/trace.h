@@ -38,33 +38,10 @@ struct Interval {
 
 struct RankTrace {
   /// Sorted by time and non-overlapping: both t0 and t1 are non-decreasing
-  /// across the vector. The metric layer's interval index binary-searches
-  /// these columns; validate() enforces the invariant.
+  /// across the vector. The metric layer binary-searches these intervals
+  /// by time; validate() enforces the invariant.
   std::vector<Interval> intervals;
   double end_time = 0.0;
-};
-
-/// Columnar (SoA) mirror of one rank's interval timeline. The binary
-/// snapshot format (trace_snapshot.h) stores traces in exactly this
-/// layout, and the metric layer's IntervalIndex can adopt the columns
-/// wholesale on a cache hit instead of re-deriving them interval by
-/// interval.
-struct RankColumns {
-  std::vector<double> t0, t1;
-  std::vector<std::uint8_t> state;  ///< IntervalState values
-  std::vector<FuncId> func;
-  std::vector<SyncObjectId> sync;
-
-  std::size_t size() const { return t0.size(); }
-};
-
-struct TraceColumns {
-  std::vector<RankColumns> ranks;
-
-  /// True when the columns mirror `trace` shape-for-shape (same rank
-  /// count, same per-rank interval counts, consistent column lengths).
-  /// Consumers adopting the columns must check this first.
-  bool matches(const struct ExecutionTrace& trace) const;
 };
 
 struct ExecutionTrace {
@@ -79,8 +56,8 @@ struct ExecutionTrace {
 
   int num_ranks() const { return static_cast<int>(ranks.size()); }
 
-  /// Sum of interval counts across ranks (sizing hook for the metric
-  /// layer's columnar index).
+  /// Sum of interval counts across ranks (a sizing hook for encoders and
+  /// benchmarks).
   std::size_t total_intervals() const;
 
   /// Total time each rank spent in each state; index [rank][state].

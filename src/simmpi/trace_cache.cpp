@@ -163,7 +163,7 @@ std::string TraceCache::path_for(const TraceKey& key) const {
   return (fs::path(config_.directory) / (hex16(key.primary) + kSnapshotExtension)).string();
 }
 
-std::optional<ExecutionTrace> TraceCache::load(const TraceKey& key, TraceColumns* columns) const {
+std::optional<ExecutionTrace> TraceCache::load(const TraceKey& key) const {
   const std::string path = path_for(key);
   std::error_code ec;
   if (!fs::exists(path, ec)) {
@@ -195,7 +195,7 @@ std::optional<ExecutionTrace> TraceCache::load(const TraceKey& key, TraceColumns
                        << ") — treating as miss";
       return std::nullopt;
     }
-    ExecutionTrace trace = load_trace_snapshot(path, columns, kKeyHeaderSize);
+    ExecutionTrace trace = load_trace_snapshot(path, kKeyHeaderSize);
     count("trace_cache.hit");
     // Touch for LRU; best-effort (a failed touch only skews eviction).
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);

@@ -72,14 +72,13 @@ class TraceCache {
   /// Snapshot path for `key`: "<dir>/<016x key.primary>.htb".
   std::string path_for(const TraceKey& key) const;
 
-  /// Load the snapshot for `key`. Returns the trace (and fills `columns`
-  /// when non-null) on a hit; nullopt on a miss or after quarantining a
-  /// file that failed validation. A file whose stored key material does
-  /// not match `key` (filename collision, renamed or pre-key-header
-  /// legacy file) counts as a miss with a warning and bumps
-  /// `trace_cache.key_mismatch`; the file is left for store() to
-  /// overwrite. Never throws on corrupt input.
-  std::optional<ExecutionTrace> load(const TraceKey& key, TraceColumns* columns = nullptr) const;
+  /// Load the snapshot for `key`. Returns the trace on a hit; nullopt on
+  /// a miss or after quarantining a file that failed validation. A file
+  /// whose stored key material does not match `key` (filename collision,
+  /// renamed or pre-key-header legacy file) counts as a miss with a
+  /// warning and bumps `trace_cache.key_mismatch`; the file is left for
+  /// store() to overwrite. Never throws on corrupt input.
+  std::optional<ExecutionTrace> load(const TraceKey& key) const;
 
   /// Store a snapshot for `key` (atomic write-then-rename) with the full
   /// key material in the file header, then enforce the byte cap. Failures

@@ -33,6 +33,15 @@ using util::binio::put_u32;
 using util::binio::put_u64;
 using Cursor = util::binio::Cursor<SnapshotError>;
 
+/// One rank's intervals as wire columns: scratch for the transpose on
+/// encode and for the fused decode-validate pass.
+struct RankColumns {
+  std::vector<double> t0, t1;
+  std::vector<std::uint8_t> state;  ///< IntervalState values
+  std::vector<FuncId> func;
+  std::vector<SyncObjectId> sync;
+};
+
 }  // namespace
 
 std::string encode_trace_snapshot(const ExecutionTrace& trace) {
@@ -89,7 +98,7 @@ std::string encode_trace_snapshot(const ExecutionTrace& trace) {
   return out;
 }
 
-ExecutionTrace decode_trace_snapshot(std::string_view bytes, TraceColumns* columns) {
+ExecutionTrace decode_trace_snapshot(std::string_view bytes) {
   if (bytes.size() < kHeaderSize + kTrailerSize)
     throw SnapshotError("snapshot too small (" + std::to_string(bytes.size()) + " bytes)");
   if (bytes.substr(0, kTraceSnapshotMagic.size()) != kTraceSnapshotMagic)
@@ -139,10 +148,6 @@ ExecutionTrace decode_trace_snapshot(std::string_view bytes, TraceColumns* colum
     trace.sync_objects.push_back(cur.str("sync object name"));
 
   trace.ranks.resize(nranks);
-  if (columns) {
-    columns->ranks.clear();
-    columns->ranks.resize(nranks);
-  }
   const FuncId func_limit = static_cast<FuncId>(nfuncs);
   const SyncObjectId sync_limit = static_cast<SyncObjectId>(nsyncs);
   double max_end = 0.0;
@@ -189,7 +194,6 @@ ExecutionTrace decode_trace_snapshot(std::string_view bytes, TraceColumns* colum
     if (!ok || prev_end > rt.end_time + 1e-9)
       throw SnapshotError("invalid interval data on rank " + std::to_string(r));
     max_end = std::max(max_end, rt.end_time);
-    if (columns) columns->ranks[r] = std::move(cols);
   }
   if (std::abs(max_end - trace.duration) > 1e-6)
     throw SnapshotError("duration does not match max rank end time");
@@ -204,8 +208,7 @@ void save_trace_snapshot(const ExecutionTrace& trace, const std::string& path) {
   util::write_file(path, encode_trace_snapshot(trace));
 }
 
-ExecutionTrace load_trace_snapshot(const std::string& path, TraceColumns* columns,
-                                   std::size_t offset) {
+ExecutionTrace load_trace_snapshot(const std::string& path, std::size_t offset) {
 #if defined(__unix__) || defined(__APPLE__)
   // Decode straight out of the page cache: copying a multi-megabyte
   // snapshot into a string first costs a third of the warm-load budget.
@@ -225,14 +228,13 @@ ExecutionTrace load_trace_snapshot(const std::string& path, TraceColumns* column
       } guard{map, static_cast<std::size_t>(st.st_size)};
       if (guard.n < offset) throw SnapshotError("snapshot shorter than its header");
       return decode_trace_snapshot(
-          std::string_view(static_cast<const char*>(map) + offset, guard.n - offset),
-          columns);
+          std::string_view(static_cast<const char*>(map) + offset, guard.n - offset));
     }
   }
 #endif
   const std::string data = util::read_file(path);
   if (data.size() < offset) throw SnapshotError("snapshot shorter than its header");
-  return decode_trace_snapshot(std::string_view(data).substr(offset), columns);
+  return decode_trace_snapshot(std::string_view(data).substr(offset));
 }
 
 }  // namespace histpc::simmpi

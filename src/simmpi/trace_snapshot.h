@@ -18,9 +18,8 @@
 //   u32   CRC-32C (Castagnoli) of the payload
 //
 // Strings are length-prefixed (u32 byte count, then bytes, no terminator).
-// Interval data is stored column-by-column (SoA) so readers can adopt the
-// buffers wholesale — decode_trace_snapshot optionally hands them out as a
-// TraceColumns for IntervalIndex to build from without per-interval work.
+// Interval data is stored column-by-column (SoA), so each column is read
+// and written as one bulk copy.
 //
 // Decoding is strict: bad magic, unknown version, a CRC mismatch, truncated
 // or trailing bytes, and out-of-range enum values all throw SnapshotError.
@@ -52,15 +51,13 @@ std::string encode_trace_snapshot(const ExecutionTrace& trace);
 
 /// Parse and validate snapshot bytes. Throws SnapshotError on malformed
 /// input and std::logic_error when the decoded trace fails its invariants
-/// (ExecutionTrace::validate). When `columns` is non-null it receives the
-/// decoded SoA interval columns (same data as the returned trace).
-ExecutionTrace decode_trace_snapshot(std::string_view bytes, TraceColumns* columns = nullptr);
+/// (ExecutionTrace::validate).
+ExecutionTrace decode_trace_snapshot(std::string_view bytes);
 
 /// File convenience wrappers (atomic write, like the JSON ones). `offset`
 /// skips a caller-owned prefix (e.g. the trace cache's key header) before
 /// decoding; a file shorter than the offset is a SnapshotError.
 void save_trace_snapshot(const ExecutionTrace& trace, const std::string& path);
-ExecutionTrace load_trace_snapshot(const std::string& path, TraceColumns* columns = nullptr,
-                                   std::size_t offset = 0);
+ExecutionTrace load_trace_snapshot(const std::string& path, std::size_t offset = 0);
 
 }  // namespace histpc::simmpi

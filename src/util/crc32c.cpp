@@ -5,8 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "util/cpu_features.h"
-
 namespace histpc::util {
 
 namespace {
@@ -50,8 +48,7 @@ std::uint32_t crc32c_sw(const char* p, std::size_t n, std::uint32_t crc) {
   return crc;
 }
 
-#if defined(HISTPC_ENABLE_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HISTPC_HAVE_HW_CRC32C 1
 
 // CRC is linear over GF(2): appending `len` zero bytes to a message maps
@@ -141,11 +138,13 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(const char* p, std::si
 
 std::uint32_t crc32c(std::string_view bytes) {
 #ifdef HISTPC_HAVE_HW_CRC32C
-  // Shared runtime dispatch (util/cpu_features): the same probe the metric
-  // kernels use, so HISTPC_NO_SIMD / HISTPC_SIMD also steer the CRC path.
-  static const bool hw = cpu_features().selected >= SimdLevel::Sse42;
+  static const bool hw = __builtin_cpu_supports("sse4.2");
   if (hw) return crc32c_hw(bytes.data(), bytes.size(), 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
 #endif
+  return crc32c_portable(bytes);
+}
+
+std::uint32_t crc32c_portable(std::string_view bytes) {
   return crc32c_sw(bytes.data(), bytes.size(), 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
 }
 

@@ -4,8 +4,10 @@
 // with (trace snapshots, experiment records): it has a hardware instruction
 // on x86-64 (SSE4.2), and the checksum pass over a multi-megabyte snapshot
 // would otherwise dominate the warm-load path the caches exist to make
-// cheap. Dispatch is runtime via util::cpu_features(), so HISTPC_NO_SIMD /
-// HISTPC_SIMD steer this path too; the software fallback is slice-by-8.
+// cheap. crc32c() probes the CPU for SSE4.2 once per process and uses the
+// instruction when it is there; otherwise it falls back to
+// crc32c_portable, a slice-by-8 table walk. Both give the same value for
+// every input.
 #pragma once
 
 #include <cstdint>
@@ -15,5 +17,10 @@ namespace histpc::util {
 
 /// CRC-32C of `bytes` (initial value 0xFFFFFFFF, final xor-out).
 std::uint32_t crc32c(std::string_view bytes);
+
+/// The software fallback crc32c() runs on CPUs without SSE4.2 (and on
+/// other architectures). Exposed for tests, so both paths stay checked on
+/// any machine.
+std::uint32_t crc32c_portable(std::string_view bytes);
 
 }  // namespace histpc::util

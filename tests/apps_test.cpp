@@ -19,7 +19,7 @@ double fraction(const TraceView& view, MetricKind m, const std::string& part) {
     int idx = view.resources().hierarchy_index(comps[1]);
     f = f.with_part(static_cast<std::size_t>(idx), part);
   }
-  return view.fraction(m, f, 0.0, view.trace().duration);
+  return view.fraction(m, f);
 }
 
 // ------------------------------------------------------------- registry

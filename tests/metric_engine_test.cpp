@@ -1,17 +1,20 @@
-// Property and unit tests for the indexed/batched metric engine: the
-// columnar IntervalIndex and MetricBatch must agree with the retained
-// linear-scan oracle (MetricInstance) on every trace, focus, and window.
+// Property and unit tests for the metric engine: TraceView's whole-run
+// totals and MetricBatch must agree with the linear-scan reference
+// (MetricInstance) on every trace and focus, and MetricBatch's block-skip
+// fast path must stay bit-identical to the scan while recording its skips.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "metrics/interval_index.h"
+#include "metrics/block_index.h"
 #include "metrics/metric_batch.h"
 #include "metrics/metric_instance.h"
 #include "metrics/trace_view.h"
+#include "scan_window.h"
 #include "simmpi/program.h"
 #include "simmpi/simulator.h"
+#include "telemetry/registry.h"
 #include "util/rng.h"
 
 namespace histpc::metrics {
@@ -123,7 +126,7 @@ Focus random_focus(util::Rng& rng, const TraceView& view) {
   return f;
 }
 
-// --------------------------------------------- indexed == scan (property)
+// ------------------------------------------ whole run == scan (property)
 
 TEST(MetricEngineProperty, IndexedQueryMatchesScanOracle) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -134,15 +137,23 @@ TEST(MetricEngineProperty, IndexedQueryMatchesScanOracle) {
     for (int i = 0; i < 40; ++i) {
       const Focus focus = random_focus(rng, view);
       const FocusFilter& filter = view.compiled(focus);
-      double t0 = rng.uniform(-0.5, trace.duration + 0.5);
-      double t1 = rng.uniform(-0.5, trace.duration + 0.5);
-      if (t1 < t0) std::swap(t0, t1);
+      // Two random cuts split the run into three windows whose scans must
+      // add up to the whole-run value too.
+      double cut1 = rng.uniform(-0.5, trace.duration + 0.5);
+      double cut2 = rng.uniform(-0.5, trace.duration + 0.5);
+      if (cut2 < cut1) std::swap(cut1, cut2);
       for (MetricKind metric : kAllMetrics) {
-        const double indexed = view.query(metric, filter, t0, t1);
-        const double scanned = view.query_scan(metric, filter, t0, t1);
-        EXPECT_NEAR(indexed, scanned, 1e-9)
+        const double whole = view.query(metric, filter);
+        const double scanned = scan_window(view, metric, filter, 0.0, trace.duration).value();
+        const double split = scan_window(view, metric, filter, 0.0, cut1).value() +
+                             scan_window(view, metric, filter, cut1, cut2).value() +
+                             scan_window(view, metric, filter, cut2, trace.duration).value();
+        EXPECT_NEAR(whole, scanned, 1e-9)
             << "seed " << seed << " focus " << focus.name() << " metric "
-            << metric_name(metric) << " window [" << t0 << ", " << t1 << ")";
+            << metric_name(metric);
+        EXPECT_NEAR(whole, split, 1e-9)
+            << "seed " << seed << " focus " << focus.name() << " metric "
+            << metric_name(metric) << " cuts " << cut1 << ", " << cut2;
       }
     }
   }
@@ -185,6 +196,57 @@ TEST(MetricEngineProperty, SequentialBatchIsBitIdenticalToInstances) {
       }
     }
   }
+}
+
+// --------------------- batch skip path == per-instance scan (bit-identical)
+
+TEST(BlockMaxProperty, BatchWithBlockSkippingIsBitIdenticalToInstances) {
+  for (std::uint64_t seed = 41; seed <= 44; ++seed) {
+    util::Rng rng(seed);
+    const simmpi::ExecutionTrace trace = random_trace(rng);
+    const TraceView view(trace);
+
+    MetricBatch batch(view);
+    std::vector<MetricInstance> instances;
+    std::vector<MetricBatch::SlotId> slots;
+
+    double now = 0.0;
+    int added = 0;
+    while (now < trace.duration) {
+      const int join = static_cast<int>(rng.next_below(3));
+      for (int j = 0; j < join && added < 12; ++j, ++added) {
+        const Focus focus = random_focus(rng, view);
+        const FocusFilter& filter = view.compiled(focus);
+        const MetricKind metric = kAllMetrics[rng.next_below(std::size(kAllMetrics))];
+        const double start = now + rng.uniform(0.0, 0.4);
+        slots.push_back(batch.add(metric, filter, start));
+        instances.emplace_back(view, metric, filter, start);
+      }
+      now += rng.uniform(0.05, 0.9);
+      batch.advance_all(now);
+      for (auto& inst : instances) inst.advance(now);
+      for (std::size_t k = 0; k < slots.size(); ++k)
+        EXPECT_DOUBLE_EQ(batch.value(slots[k]), instances[k].value()) << "seed " << seed;
+    }
+  }
+}
+
+TEST(BlockMax, BatchTelemetryRecordsBlockSkips) {
+  // One big advance with probes that can never match anything (a sync
+  // constraint on CpuTime) forces every whole block to be skipped.
+  util::Rng rng(99);
+  const simmpi::ExecutionTrace trace = random_trace(rng);
+  const TraceView view(trace);
+  ASSERT_FALSE(trace.sync_objects.empty());
+  const Focus narrow = Focus::whole_program(view.resources())
+                           .with_part(3, "/SyncObject/" + trace.sync_objects[0]);
+  telemetry::Registry registry;
+  MetricBatch batch(view, &registry);
+  batch.add(MetricKind::CpuTime, view.compiled(narrow), 0.0);
+  batch.advance_all(trace.duration + 1.0);
+  EXPECT_GT(registry.counter("metrics.batch.blocks_considered"), 0u);
+  EXPECT_EQ(registry.counter("metrics.batch.blocks_skipped"),
+            registry.counter("metrics.batch.blocks_considered"));
 }
 
 TEST(MetricEngine, RemovedSlotStopsAccumulating) {
@@ -244,26 +306,27 @@ class MetricEngineUnit : public testing::Test {
 
 TEST_F(MetricEngineUnit, WindowInsideOneIntervalStraddlesBothEnds) {
   // [0.5, 1.25) lies strictly inside the kernel's [0, 2) interval: the
-  // index's boundary clipping handles a window with no interior.
+  // window clips one interval at both ends.
   Focus f = Focus::whole_program(view_.resources()).with_part(0, "/Code/kern.c/kernel");
   const FocusFilter& filter = view_.compiled(f);
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, filter, 0.5, 1.25), 0.75, 1e-12);
-  EXPECT_DOUBLE_EQ(view_.query(MetricKind::CpuTime, filter, 0.5, 1.25),
-                   view_.query_scan(MetricKind::CpuTime, filter, 0.5, 1.25));
+  EXPECT_NEAR(scan_window(view_, MetricKind::CpuTime, filter, 0.5, 1.25).value(), 0.75,
+              1e-12);
 }
 
 TEST_F(MetricEngineUnit, WindowStraddlingIntervalBoundaryClips) {
   Focus f = Focus::whole_program(view_.resources()).with_part(0, "/Code/kern.c/kernel");
   const FocusFilter& filter = view_.compiled(f);
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, filter, 1.5, 10.0), 0.5, 1e-12);
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, filter, -3.0, 0.25), 0.25, 1e-12);
+  EXPECT_NEAR(scan_window(view_, MetricKind::CpuTime, filter, 1.5, 10.0).value(), 0.5, 1e-12);
+  EXPECT_NEAR(scan_window(view_, MetricKind::CpuTime, filter, -3.0, 0.25).value(), 0.25,
+              1e-12);
 }
 
 TEST_F(MetricEngineUnit, ZeroWidthWindowIsZero) {
   const FocusFilter& filter = view_.compiled(Focus::whole_program(view_.resources()));
   for (MetricKind metric : kAllMetrics) {
-    EXPECT_DOUBLE_EQ(view_.query(metric, filter, 1.0, 1.0), 0.0);
-    EXPECT_DOUBLE_EQ(view_.fraction(metric, filter, 1.0, 1.0), 0.0);
+    const MetricInstance empty = scan_window(view_, metric, filter, 1.0, 1.0);
+    EXPECT_DOUBLE_EQ(empty.value(), 0.0);
+    EXPECT_DOUBLE_EQ(empty.fraction(), 0.0);
   }
 }
 
@@ -272,8 +335,8 @@ TEST_F(MetricEngineUnit, EmptyRankSelectionIsZeroEverywhere) {
   filter.ranks.assign(filter.ranks.size(), false);
   filter.finalize();
   EXPECT_EQ(filter.num_selected_ranks, 0);
-  EXPECT_DOUBLE_EQ(view_.query(MetricKind::ExecTime, filter, 0.0, trace_.duration), 0.0);
-  EXPECT_DOUBLE_EQ(view_.fraction(MetricKind::ExecTime, filter, 0.0, trace_.duration), 0.0);
+  EXPECT_DOUBLE_EQ(view_.query(MetricKind::ExecTime, filter), 0.0);
+  EXPECT_DOUBLE_EQ(view_.fraction(MetricKind::ExecTime, filter), 0.0);
 
   MetricBatch batch(view_);
   const auto slot = batch.add(MetricKind::ExecTime, filter, 0.0);
@@ -291,6 +354,36 @@ TEST_F(MetricEngineUnit, CompiledCacheReturnsStableReferences) {
     view_.compiled(whole.with_part(0, "/Code/" + fi.module + "/" + fi.function));
   EXPECT_EQ(first, &view_.compiled(whole));
   EXPECT_EQ(first->num_selected_ranks, 2);
+}
+
+class BlockMaxUnit : public MetricEngineUnit {};
+
+TEST_F(BlockMaxUnit, SingleBlockCoversWholeTrace) {
+  // Each rank has fewer intervals than a block holds: one block per rank,
+  // whose summary covers the rank's whole timeline.
+  const BlockIndex& blocks = view_.blocks();
+  const Focus whole = Focus::whole_program(view_.resources());
+  for (int r = 0; r < trace_.num_ranks(); ++r) {
+    const auto& ivs = trace_.ranks[static_cast<std::size_t>(r)].intervals;
+    ASSERT_LT(ivs.size(), BlockIndex::kBlockSize);
+    ASSERT_EQ(blocks.num_blocks(r), 1u);
+    EXPECT_EQ(blocks.block_end(r, 0), ivs.size());
+    EXPECT_DOUBLE_EQ(blocks.block_max_t1(r, 0), ivs.back().t1);
+    EXPECT_TRUE(blocks.block_may_contribute(r, 0, view_.compiled(whole), MetricKind::ExecTime));
+  }
+  // Rank 0 never waits on I/O; rank 1 runs no kernel; no rank spends CPU
+  // time under a sync object.
+  EXPECT_FALSE(blocks.block_may_contribute(0, 0, view_.compiled(whole),
+                                           MetricKind::IoWaitTime));
+  EXPECT_TRUE(blocks.block_may_contribute(1, 0, view_.compiled(whole),
+                                          MetricKind::IoWaitTime));
+  const Focus kernel = whole.with_part(0, "/Code/kern.c/kernel");
+  EXPECT_TRUE(blocks.block_may_contribute(0, 0, view_.compiled(kernel), MetricKind::CpuTime));
+  EXPECT_FALSE(blocks.block_may_contribute(1, 0, view_.compiled(kernel), MetricKind::CpuTime));
+  const Focus message = whole.with_part(3, "/SyncObject/Message");
+  EXPECT_FALSE(blocks.block_may_contribute(1, 0, view_.compiled(message), MetricKind::CpuTime));
+  EXPECT_TRUE(
+      blocks.block_may_contribute(1, 0, view_.compiled(message), MetricKind::SyncWaitTime));
 }
 
 }  // namespace

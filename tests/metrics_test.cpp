@@ -3,6 +3,7 @@
 #include "metrics/metric.h"
 #include "metrics/metric_instance.h"
 #include "metrics/trace_view.h"
+#include "scan_window.h"
 #include "simmpi/program.h"
 #include "simmpi/simulator.h"
 
@@ -82,29 +83,27 @@ TEST_F(TraceViewTest, BuildsAllHierarchies) {
 
 TEST_F(TraceViewTest, WholeProgramTotals) {
   const Focus whole = Focus::whole_program(view_.resources());
-  const double end = trace_.duration;
   // rank0: 3.5 cpu; rank1: 1 cpu + 2 sync + 0.5 io.
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, whole, 0, end), 4.5, 1e-9);
-  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, whole, 0, end), 2.0, 1e-6);
-  EXPECT_NEAR(view_.query(MetricKind::IoWaitTime, whole, 0, end), 0.5, 1e-9);
-  EXPECT_NEAR(view_.query(MetricKind::ExecTime, whole, 0, end), 7.0, 1e-6);
+  EXPECT_NEAR(view_.query(MetricKind::CpuTime, whole), 4.5, 1e-9);
+  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, whole), 2.0, 1e-6);
+  EXPECT_NEAR(view_.query(MetricKind::IoWaitTime, whole), 0.5, 1e-9);
+  EXPECT_NEAR(view_.query(MetricKind::ExecTime, whole), 7.0, 1e-6);
 }
 
 TEST_F(TraceViewTest, CodeConstraintSelectsFunction) {
   Focus f = Focus::whole_program(view_.resources()).with_part(0, "/Code/kern.c/kernel");
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, f, 0, trace_.duration), 2.0, 1e-9);
+  EXPECT_NEAR(view_.query(MetricKind::CpuTime, f), 2.0, 1e-9);
   // Module-level selects both functions in kern.c (kernel cpu + waitspot sync).
   Focus mod = Focus::whole_program(view_.resources()).with_part(0, "/Code/kern.c");
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, mod, 0, trace_.duration), 2.0, 1e-9);
-  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, mod, 0, trace_.duration), 2.0, 1e-6);
+  EXPECT_NEAR(view_.query(MetricKind::CpuTime, mod), 2.0, 1e-9);
+  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, mod), 2.0, 1e-6);
 }
 
 TEST_F(TraceViewTest, ProcessAndMachineConstraintsAgree) {
   Focus by_proc = Focus::whole_program(view_.resources()).with_part(2, "/Process/proc:2");
   Focus by_node = Focus::whole_program(view_.resources()).with_part(1, "/Machine/node02");
-  const double end = trace_.duration;
-  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, by_proc, 0, end),
-              view_.query(MetricKind::SyncWaitTime, by_node, 0, end), 1e-9);
+  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, by_proc),
+              view_.query(MetricKind::SyncWaitTime, by_node), 1e-9);
   EXPECT_EQ(view_.compile(by_proc).num_selected_ranks, 1);
   EXPECT_EQ(view_.compile(by_node).num_selected_ranks, 1);
 }
@@ -113,15 +112,15 @@ TEST_F(TraceViewTest, SyncConstrainedCpuIsZero) {
   // The wasted tests that the paper's general prunes avoid: CPU time under
   // a SyncObject constraint has no data.
   Focus f = Focus::whole_program(view_.resources()).with_part(3, "/SyncObject/Message/5");
-  EXPECT_DOUBLE_EQ(view_.query(MetricKind::CpuTime, f, 0, trace_.duration), 0.0);
-  EXPECT_DOUBLE_EQ(view_.query(MetricKind::IoWaitTime, f, 0, trace_.duration), 0.0);
-  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, f, 0, trace_.duration), 2.0, 1e-6);
+  EXPECT_DOUBLE_EQ(view_.query(MetricKind::CpuTime, f), 0.0);
+  EXPECT_DOUBLE_EQ(view_.query(MetricKind::IoWaitTime, f), 0.0);
+  EXPECT_NEAR(view_.query(MetricKind::SyncWaitTime, f), 2.0, 1e-6);
 }
 
 TEST_F(TraceViewTest, UnknownResourceSelectsNothing) {
   auto f = Focus::parse("</Code/ghost.c>", view_.resources(), false);
   ASSERT_TRUE(f.has_value());
-  EXPECT_DOUBLE_EQ(view_.query(MetricKind::CpuTime, *f, 0, trace_.duration), 0.0);
+  EXPECT_DOUBLE_EQ(view_.query(MetricKind::CpuTime, *f), 0.0);
 }
 
 TEST_F(TraceViewTest, EmptyFilterDiagnosticsNameTheFailingPart) {
@@ -156,25 +155,27 @@ TEST_F(TraceViewTest, EmptyFilterDiagnosticsNameTheFailingPart) {
 TEST_F(TraceViewTest, FractionNormalizesPerSelectedRank) {
   Focus f = Focus::whole_program(view_.resources()).with_part(2, "/Process/proc:2");
   // Rank 1 waits 2s of 3.5s program (its own end time is 3.5).
-  const double frac = view_.fraction(MetricKind::SyncWaitTime, f, 0.0, trace_.duration);
+  const double frac = view_.fraction(MetricKind::SyncWaitTime, f);
   EXPECT_NEAR(frac, 2.0 / trace_.duration, 1e-6);
   // Whole-program normalizes by both ranks.
   const Focus whole = Focus::whole_program(view_.resources());
-  EXPECT_NEAR(view_.fraction(MetricKind::SyncWaitTime, whole, 0.0, trace_.duration),
-              2.0 / (2 * trace_.duration), 1e-6);
+  EXPECT_NEAR(view_.fraction(MetricKind::SyncWaitTime, whole), 2.0 / (2 * trace_.duration),
+              1e-6);
 }
 
 TEST_F(TraceViewTest, FractionOfEmptyWindowIsZero) {
   const Focus whole = Focus::whole_program(view_.resources());
-  EXPECT_DOUBLE_EQ(view_.fraction(MetricKind::CpuTime, whole, 1.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(
+      scan_window(view_, MetricKind::CpuTime, view_.compiled(whole), 1.0, 1.0).fraction(), 0.0);
 }
 
 TEST_F(TraceViewTest, WindowQueriesClipIntervals) {
-  Focus f = Focus::whole_program(view_.resources()).with_part(0, "/Code/kern.c/kernel");
+  const FocusFilter& f = view_.compiled(
+      Focus::whole_program(view_.resources()).with_part(0, "/Code/kern.c/kernel"));
   // Kernel runs on rank 0 during [0, 2).
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, f, 0.5, 1.25), 0.75, 1e-9);
-  EXPECT_NEAR(view_.query(MetricKind::CpuTime, f, 1.5, 10.0), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(view_.query(MetricKind::CpuTime, f, 2.5, 3.0), 0.0);
+  EXPECT_NEAR(scan_window(view_, MetricKind::CpuTime, f, 0.5, 1.25).value(), 0.75, 1e-9);
+  EXPECT_NEAR(scan_window(view_, MetricKind::CpuTime, f, 1.5, 10.0).value(), 0.5, 1e-9);
+  EXPECT_DOUBLE_EQ(scan_window(view_, MetricKind::CpuTime, f, 2.5, 3.0).value(), 0.0);
 }
 
 TEST_F(TraceViewTest, FractionSeriesBinsSumToWholeFraction) {
@@ -185,7 +186,7 @@ TEST_F(TraceViewTest, FractionSeriesBinsSumToWholeFraction) {
     double mean = 0;
     for (double v : series) mean += v;
     mean /= 7.0;
-    EXPECT_NEAR(mean, view_.fraction(metric, whole, 0.0, trace_.duration), 1e-9);
+    EXPECT_NEAR(mean, view_.fraction(metric, whole), 1e-9);
   }
 }
 
@@ -257,22 +258,22 @@ TEST_P(IncrementalEquivalence, MatchesOneShot) {
 INSTANTIATE_TEST_SUITE_P(Ticks, IncrementalEquivalence,
                          testing::Values(0.05, 0.17, 0.5, 1.0, 3.3));
 
-/// Property: queries over a partition of [0, T] sum to the whole.
+/// Property: windows partitioning [0, T] sum to the whole-run query.
 class WindowAdditivity : public testing::TestWithParam<int> {};
 
 TEST_P(WindowAdditivity, DisjointWindowsSum) {
   const simmpi::ExecutionTrace trace = make_trace();
   const TraceView view(trace);
   const int pieces = GetParam();
-  const Focus whole = Focus::whole_program(view.resources());
+  const FocusFilter& whole = view.compiled(Focus::whole_program(view.resources()));
   for (MetricKind metric : {MetricKind::CpuTime, MetricKind::SyncWaitTime}) {
     double sum = 0;
     for (int i = 0; i < pieces; ++i) {
       const double t0 = trace.duration * i / pieces;
       const double t1 = trace.duration * (i + 1) / pieces;
-      sum += view.query(metric, whole, t0, t1);
+      sum += scan_window(view, metric, whole, t0, t1).value();
     }
-    EXPECT_NEAR(sum, view.query(metric, whole, 0, trace.duration), 1e-6);
+    EXPECT_NEAR(sum, view.query(metric, whole), 1e-6);
   }
 }
 

@@ -30,7 +30,6 @@ using simmpi::ExecutionTrace;
 using simmpi::IntervalState;
 using simmpi::TraceCache;
 using simmpi::TraceCacheConfig;
-using simmpi::TraceColumns;
 
 std::string temp_dir(const std::string& name) {
   const fs::path path = fs::path(::testing::TempDir()) / ("trace_snapshot_" + name);
@@ -150,13 +149,11 @@ TEST(TraceSnapshot, RoundTripIsExactOnRandomizedTraces) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     util::Rng rng(seed);
     const ExecutionTrace t = random_trace(rng);
-    TraceColumns cols;
-    const ExecutionTrace back = simmpi::decode_trace_snapshot(
-        simmpi::encode_trace_snapshot(t), &cols);
+    const ExecutionTrace back =
+        simmpi::decode_trace_snapshot(simmpi::encode_trace_snapshot(t));
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_traces_equal(t, back);
     back.validate();
-    EXPECT_TRUE(cols.matches(back));
   }
 }
 
@@ -179,29 +176,12 @@ TEST(TraceSnapshot, RoundTripsRealAppTraces) {
     apps::AppParams p;
     p.target_duration = 150.0;
     const ExecutionTrace t = apps::run_app(app, p);
-    TraceColumns cols;
     const ExecutionTrace back =
-        simmpi::decode_trace_snapshot(simmpi::encode_trace_snapshot(t), &cols);
+        simmpi::decode_trace_snapshot(simmpi::encode_trace_snapshot(t));
     SCOPED_TRACE(app);
     expect_traces_equal(t, back);
-    EXPECT_TRUE(cols.matches(t));
   }
 }
-
-TEST(TraceSnapshot, ColumnsMirrorIntervals) {
-  const ExecutionTrace t = golden_trace();
-  TraceColumns cols;
-  simmpi::decode_trace_snapshot(simmpi::encode_trace_snapshot(t), &cols);
-  ASSERT_EQ(cols.ranks.size(), 2u);
-  EXPECT_EQ(cols.ranks[0].t0, (std::vector<double>{0.0, 1.0, 1.5}));
-  EXPECT_EQ(cols.ranks[0].t1, (std::vector<double>{1.0, 1.5, 2.25}));
-  EXPECT_EQ(cols.ranks[0].state, (std::vector<std::uint8_t>{0, 1, 0}));
-  EXPECT_EQ(cols.ranks[0].func, (std::vector<simmpi::FuncId>{0, 1, simmpi::kNoFunc}));
-  EXPECT_EQ(cols.ranks[1].sync,
-            (std::vector<simmpi::SyncObjectId>{simmpi::kNoSyncObject, 1}));
-}
-
-// ---------------------------------------------------- corrupt snapshots
 
 TEST(TraceSnapshot, TruncationAlwaysThrowsCleanly) {
   const std::string bytes = simmpi::encode_trace_snapshot(golden_trace());
@@ -271,11 +251,9 @@ TEST(TraceCacheTest, MissThenStoreThenHit) {
   cache.store(key, t);
   EXPECT_EQ(reg.counter("trace_cache.store"), 1u);
 
-  TraceColumns cols;
-  const auto hit = cache.load(key, &cols);
+  const auto hit = cache.load(key);
   ASSERT_TRUE(hit.has_value());
   expect_traces_equal(t, *hit);
-  EXPECT_TRUE(cols.matches(*hit));
   EXPECT_EQ(reg.counter("trace_cache.hit"), 1u);
 }
 

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/crc32c.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/log.h"
@@ -309,6 +311,26 @@ TEST(Csv, QuotesSpecialCharacters) {
 TEST(Csv, RowWidthMismatchThrows) {
   CsvWriter w({"a", "b"});
   EXPECT_THROW(w.add_row({"only-one"}), std::invalid_argument);
+}
+
+// ----------------------------------------------------------------- crc32c
+
+TEST(Crc32c, BothPathsGiveTheCheckValue) {
+  // The catalogued CRC-32C check value: the CRC of the ASCII digits 1-9.
+  EXPECT_EQ(crc32c("123456789"), 0xe3069283u);
+  EXPECT_EQ(crc32c_portable("123456789"), 0xe3069283u);
+}
+
+TEST(Crc32c, BothPathsAgreeOnEveryLengthUpTo6200) {
+  // Every length crosses the 8-byte tail, and lengths past 3072 cross the
+  // hardware path's three-lane 1024-byte blocks.
+  Rng rng(2024);
+  std::string buf(6200, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.next_below(256));
+  for (std::size_t n = 0; n <= buf.size(); ++n) {
+    const std::string_view bytes(buf.data(), n);
+    ASSERT_EQ(crc32c(bytes), crc32c_portable(bytes)) << "length " << n;
+  }
 }
 
 // -------------------------------------------------------------------- rng

@@ -43,7 +43,7 @@ TEST(Workload, FactorsScalePerRank) {
   auto frac = [&](const char* proc) {
     auto f = resources::Focus::whole_program(view.resources())
                  .with_part(2, std::string("/Process/") + proc);
-    return view.fraction(metrics::MetricKind::SyncWaitTime, f, 0, trace.duration);
+    return view.fraction(metrics::MetricKind::SyncWaitTime, f);
   };
   EXPECT_LT(frac("wl:1"), 0.05);
   EXPECT_NEAR(frac("wl:3"), 0.5, 0.05);
@@ -56,8 +56,7 @@ TEST(Workload, MachineSpeedsApply) {
   // Rank 0 computes twice as fast, so it waits at barriers.
   const metrics::TraceView view(trace);
   auto f = resources::Focus::whole_program(view.resources()).with_part(2, "/Process/wl:1");
-  EXPECT_NEAR(view.fraction(metrics::MetricKind::SyncWaitTime, f, 0, trace.duration), 0.5,
-              0.05);
+  EXPECT_NEAR(view.fraction(metrics::MetricKind::SyncWaitTime, f), 0.5, 0.05);
 }
 
 TEST(Workload, EveryCadence) {
@@ -69,8 +68,7 @@ TEST(Workload, EveryCadence) {
   const metrics::TraceView view(trace);
   auto f = resources::Focus::whole_program(view.resources()).with_part(0, "/Code/io.c");
   // 4 of 40 iterations do 1s of I/O each.
-  EXPECT_NEAR(view.query(metrics::MetricKind::IoWaitTime, f, 0, trace.duration) / 4.0, 4.0,
-              0.01);
+  EXPECT_NEAR(view.query(metrics::MetricKind::IoWaitTime, f) / 4.0, 4.0, 0.01);
 }
 
 TEST(Workload, ExchangePatterns) {
@@ -119,7 +117,7 @@ TEST(Workload, InitRunsOnce) {
   const simmpi::ExecutionTrace trace = run_workload(spec);
   const metrics::TraceView view(trace);
   auto f = resources::Focus::whole_program(view.resources()).with_part(0, "/Code/init.c");
-  EXPECT_NEAR(view.query(metrics::MetricKind::CpuTime, f, 0, trace.duration), 12.0, 0.01);
+  EXPECT_NEAR(view.query(metrics::MetricKind::CpuTime, f), 12.0, 0.01);
 }
 
 TEST(Workload, Deterministic) {
