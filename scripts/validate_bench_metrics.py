@@ -4,8 +4,8 @@
 Usage: validate_bench_metrics.py [cold|warm|serve]
 
 Checks that every expected section and key is present and not NaN, and
-that a trace-cache hit (content key + snapshot load) beats simulating the
-trace. The optional mode argument asserts the trace-cache behaviour of
+that a trace-cache hit (recording into the content key + snapshot load)
+beats simulating the trace. The optional mode argument asserts the trace-cache behaviour of
 the run that just finished: a `cold` run (empty cache directory) must
 record a cache miss, a `warm` run must record a cache hit and no miss —
 so CI catches a regression in snapshot keying, decoding, or cache
@@ -142,11 +142,13 @@ def main() -> None:
                  f"{store_query['speedup_vs_json_scan']:.1f}x over JSON re-parse "
                  "(acceptance bar is 10x at 1000 runs)")
 
-    # A hit pays the content key and the load; it must still be cheaper
-    # than the simulation it replaces, or the cache slows every run down.
+    # A hit records the app into the content key and loads the snapshot;
+    # it must still be cheaper than the simulation it replaces, or the
+    # cache slows every run down.
     snapshot = metrics["trace_snapshot"]
     if not snapshot["hit_speedup_vs_simulate"] > 1:
-        sys.exit(f"trace_snapshot: a cache hit (key {snapshot['key_ns'] / 1e6:.2f} ms + load "
+        sys.exit(f"trace_snapshot: a cache hit (recording into the key "
+                 f"{snapshot['key_ns'] / 1e6:.2f} ms + load "
                  f"{snapshot['warm_load_ns'] / 1e6:.2f} ms) is no faster than simulating "
                  f"({snapshot['cold_simulate_ns'] / 1e6:.2f} ms): hit_speedup_vs_simulate "
                  f"{snapshot['hit_speedup_vs_simulate']:.2f}")

@@ -47,29 +47,42 @@ struct AppParams {
   std::uint64_t seed = 0;
 };
 
+// Each app gives what recording it needs in one place, its ProgramSpec:
+// the machine, the recording options and the per-rank body. build_* and
+// build_app record that spec into a SimProgram (simmpi::record_program); a
+// trace-cache session records it straight into the cache key
+// (simmpi::record_trace_key) and builds a program only on a miss.
+
 /// Poisson decomposition, version in {'A','B','C','D'}.
+simmpi::ProgramSpec poisson_spec(char version, const AppParams& params = {});
 simmpi::SimProgram build_poisson(char version, const AppParams& params = {});
 
 /// Network model matching the simulated SP/2 runs (shared by versions so
 /// cross-version comparisons are apples-to-apples).
 simmpi::NetworkModel poisson_network();
 
+simmpi::ProgramSpec ocean_spec(const AppParams& params = {});
 simmpi::SimProgram build_ocean(const AppParams& params = {});
 simmpi::NetworkModel ocean_network();
 
+simmpi::ProgramSpec tester_spec(const AppParams& params = {});
 simmpi::SimProgram build_tester(const AppParams& params = {});
 
 /// I/O-dominated seismic-migration-style workload (exercises the
 /// ExcessiveIOBlockingTime hypothesis path).
+simmpi::ProgramSpec seismic_spec(const AppParams& params = {});
 simmpi::SimProgram build_seismic(const AppParams& params = {});
 
 /// Master/worker task farm using wildcard receives (master-side
 /// synchronization bottleneck).
+simmpi::ProgramSpec taskfarm_spec(const AppParams& params = {});
 simmpi::SimProgram build_taskfarm(const AppParams& params = {});
+simmpi::ProgramSpec bubba_spec(const AppParams& params = {});
 simmpi::SimProgram build_bubba(const AppParams& params = {});
 
 /// Uniform entry point: name in {"poisson_a", ..., "poisson_d", "ocean",
 /// "tester", "bubba", "seismic", "taskfarm"}. Throws std::invalid_argument for unknown names.
+simmpi::ProgramSpec app_spec(const std::string& name, const AppParams& params = {});
 simmpi::SimProgram build_app(const std::string& name, const AppParams& params = {});
 /// The network model an app should be simulated with.
 simmpi::NetworkModel network_for(const std::string& name);

@@ -8,13 +8,12 @@ namespace histpc::apps {
 
 using simmpi::FunctionScope;
 using simmpi::MachineSpec;
-using simmpi::ProgramBuilder;
 using simmpi::Recorder;
 
 /// The example program of Figure 1: three resource hierarchies —
 /// Code {main.C, testutil.C, vect.C}, Machine {CPU_1..4},
 /// Process {Tester:1..4}.
-simmpi::SimProgram build_tester(const AppParams& params) {
+simmpi::ProgramSpec tester_spec(const AppParams& params) {
   const int nranks = 4;
   MachineSpec machine;
   for (int i = 0; i < nranks; ++i) {
@@ -25,8 +24,7 @@ simmpi::SimProgram build_tester(const AppParams& params) {
   }
 
   const int iterations = std::max(1, static_cast<int>(params.target_duration / 1.0));
-  ProgramBuilder builder(machine, {params.compute_jitter, params.seed});
-  builder.record([&](Recorder& r) {
+  auto body = [=](Recorder& r) {
     const int rank = r.rank();
     FunctionScope fn_main(r, "main", "main.C");
     for (int iter = 0; iter < iterations; ++iter) {
@@ -56,15 +54,15 @@ simmpi::SimProgram build_tester(const AppParams& params) {
       }
       r.barrier();
     }
-  });
-  return builder.build();
+  };
+  return {std::move(machine), {params.compute_jitter, params.seed}, std::move(body)};
 }
 
 /// The program of the Figure 2 search: a CPU-bound graph partitioner.
 /// CPUbound tests true and refines; the modules bubba.C, channel.C,
 /// anneal.C, outchan.C and graph.C test false while partition.C and the
 /// machine node "goat" test true.
-simmpi::SimProgram build_bubba(const AppParams& params) {
+simmpi::ProgramSpec bubba_spec(const AppParams& params) {
   const int nranks = 4;
   MachineSpec machine;
   const char* nodes[] = {"goat", "moose", "elk", "bison"};
@@ -76,8 +74,7 @@ simmpi::SimProgram build_bubba(const AppParams& params) {
   }
 
   const int iterations = std::max(1, static_cast<int>(params.target_duration / 2.2));
-  ProgramBuilder builder(machine, {params.compute_jitter, params.seed});
-  builder.record([&](Recorder& r) {
+  auto body = [=](Recorder& r) {
     const int rank = r.rank();
     // goat (rank 0) carries the dominant partitioning load.
     const double hot = rank == 0 ? 1.6 : 0.9;
@@ -113,8 +110,8 @@ simmpi::SimProgram build_bubba(const AppParams& params) {
       }
       r.barrier();
     }
-  });
-  return builder.build();
+  };
+  return {std::move(machine), {params.compute_jitter, params.seed}, std::move(body)};
 }
 
 }  // namespace histpc::apps

@@ -13,7 +13,6 @@ namespace histpc::apps {
 
 using simmpi::FunctionScope;
 using simmpi::MachineSpec;
-using simmpi::ProgramBuilder;
 using simmpi::Recorder;
 using simmpi::RequestId;
 
@@ -26,7 +25,7 @@ simmpi::NetworkModel ocean_network() {
   return net;
 }
 
-simmpi::SimProgram build_ocean(const AppParams& params) {
+simmpi::ProgramSpec ocean_spec(const AppParams& params) {
   const int nranks = 4;
   std::string node_prefix = params.node_prefix.empty() ? "spark" : params.node_prefix;
   MachineSpec machine = MachineSpec::one_to_one(nranks, node_prefix, "ocean", params.node_base);
@@ -43,8 +42,7 @@ simmpi::SimProgram build_ocean(const AppParams& params) {
                            net.transfer_time(reduce_bytes);
   const int iterations = std::max(1, static_cast<int>(params.target_duration / iter_time));
 
-  ProgramBuilder builder(machine, {params.compute_jitter, params.seed});
-  builder.record([&](Recorder& r) {
+  auto body = [=](Recorder& r) {
     const int rank = r.rank();
     const double f = factors.at(static_cast<std::size_t>(rank));
     FunctionScope fn_main(r, "main", "ocean.c");
@@ -89,8 +87,8 @@ simmpi::SimProgram build_ocean(const AppParams& params) {
         r.io(0.4);
       }
     }
-  });
-  return builder.build();
+  };
+  return {std::move(machine), {params.compute_jitter, params.seed}, std::move(body)};
 }
 
 }  // namespace histpc::apps

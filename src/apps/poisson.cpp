@@ -8,10 +8,8 @@ namespace histpc::apps {
 
 using simmpi::FunctionScope;
 using simmpi::MachineSpec;
-using simmpi::ProgramBuilder;
 using simmpi::Recorder;
 using simmpi::RequestId;
-using simmpi::SimProgram;
 
 namespace {
 
@@ -130,7 +128,7 @@ simmpi::NetworkModel poisson_network() {
   return net;
 }
 
-simmpi::SimProgram build_poisson(char version, const AppParams& params) {
+simmpi::ProgramSpec poisson_spec(char version, const AppParams& params) {
   const PoissonShape shape = shape_for(version);
   const Naming names = naming_for(version);
   const int nranks = shape.gx * shape.gy;
@@ -147,8 +145,7 @@ simmpi::SimProgram build_poisson(char version, const AppParams& params) {
                       2 * net.transfer_time(shape.bytes_m);
   const int iterations = std::max(1, static_cast<int>(params.target_duration / (compute + comm)));
 
-  ProgramBuilder builder(machine, {params.compute_jitter, params.seed});
-  builder.record([&](Recorder& r) {
+  auto body = [=](Recorder& r) {
     const int rank = r.rank();
     const double f = shape.factors.at(static_cast<std::size_t>(rank));
     const int x = rank / shape.gy;
@@ -212,8 +209,8 @@ simmpi::SimProgram build_poisson(char version, const AppParams& params) {
         r.compute(0.002);
       }
     }
-  });
-  return builder.build();
+  };
+  return {std::move(machine), {params.compute_jitter, params.seed}, std::move(body)};
 }
 
 }  // namespace histpc::apps

@@ -9,10 +9,9 @@ namespace histpc::apps {
 
 using simmpi::FunctionScope;
 using simmpi::MachineSpec;
-using simmpi::ProgramBuilder;
 using simmpi::Recorder;
 
-simmpi::SimProgram build_seismic(const AppParams& params) {
+simmpi::ProgramSpec seismic_spec(const AppParams& params) {
   const int nranks = 4;
   std::string node_prefix = params.node_prefix.empty() ? "disknode" : params.node_prefix;
   MachineSpec machine =
@@ -25,8 +24,7 @@ simmpi::SimProgram build_seismic(const AppParams& params) {
   const double iter_time = 0.55 + c_migrate + 0.1;
   const int iterations = std::max(1, static_cast<int>(params.target_duration / iter_time));
 
-  ProgramBuilder builder(machine, {params.compute_jitter, params.seed});
-  builder.record([&](Recorder& r) {
+  auto body = [=](Recorder& r) {
     const int rank = r.rank();
     FunctionScope fmain(r, "main", "seismic.c");
     for (int iter = 0; iter < iterations; ++iter) {
@@ -52,8 +50,8 @@ simmpi::SimProgram build_seismic(const AppParams& params) {
       }
       r.barrier();
     }
-  });
-  return builder.build();
+  };
+  return {std::move(machine), {params.compute_jitter, params.seed}, std::move(body)};
 }
 
 }  // namespace histpc::apps

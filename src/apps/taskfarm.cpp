@@ -10,7 +10,6 @@ namespace histpc::apps {
 
 using simmpi::FunctionScope;
 using simmpi::MachineSpec;
-using simmpi::ProgramBuilder;
 using simmpi::Recorder;
 
 namespace {
@@ -18,7 +17,7 @@ constexpr int kTaskTag = 1;
 constexpr int kResultTag = 2;
 }  // namespace
 
-simmpi::SimProgram build_taskfarm(const AppParams& params) {
+simmpi::ProgramSpec taskfarm_spec(const AppParams& params) {
   const int nranks = 4;  // 1 master + 3 workers
   std::string node_prefix = params.node_prefix.empty() ? "farm" : params.node_prefix;
   MachineSpec machine =
@@ -30,8 +29,7 @@ simmpi::SimProgram build_taskfarm(const AppParams& params) {
   const double round_time = 1.1;
   const int rounds = std::max(1, static_cast<int>(params.target_duration / round_time));
 
-  ProgramBuilder builder(machine, {params.compute_jitter, params.seed});
-  builder.record([&](Recorder& r) {
+  auto body = [=](Recorder& r) {
     const int rank = r.rank();
     FunctionScope fmain(r, "main", "farm.c");
     for (int round = 0; round < rounds; ++round) {
@@ -62,8 +60,8 @@ simmpi::SimProgram build_taskfarm(const AppParams& params) {
         r.send(0, kResultTag, result_bytes);
       }
     }
-  });
-  return builder.build();
+  };
+  return {std::move(machine), {params.compute_jitter, params.seed}, std::move(body)};
 }
 
 }  // namespace histpc::apps

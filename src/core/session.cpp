@@ -15,21 +15,19 @@ DiagnosisSession::DiagnosisSession(const std::string& app_name, apps::AppParams 
     telemetry::ScopedTimer timer(registry_, "session.simulate");
     trace_ = std::make_unique<simmpi::ExecutionTrace>(apps::run_app(app_name, params));
   } else {
-    // Recording is cheap and deterministic; the recorded program plus the
-    // network model is exactly what the content key covers, so a cache hit
-    // skips only the expensive part (the simulation itself).
-    simmpi::SimProgram program;
+    // The recorded program plus the network model is exactly what the
+    // content key covers. A hit records the app once, straight into the
+    // key, and builds no program; a miss records it again into op vectors
+    // and simulates. Both recordings start from the same seeded spec, so
+    // they record the same ops.
+    const simmpi::ProgramSpec spec = apps::app_spec(app_name, params);
     const simmpi::NetworkModel net = apps::network_for(app_name);
-    {
-      telemetry::ScopedTimer timer(registry_, "session.record");
-      program = apps::build_app(app_name, params);
-    }
     simmpi::TraceCache cache({config_.trace_cache_dir, config_.trace_cache_max_bytes},
                              &registry_);
     simmpi::TraceKey key;
     {
       telemetry::ScopedTimer timer(registry_, "session.trace_key");
-      key = simmpi::trace_content_key(program, net);
+      key = simmpi::record_trace_key(spec, net);
     }
     std::optional<simmpi::ExecutionTrace> cached;
     {
@@ -39,6 +37,11 @@ DiagnosisSession::DiagnosisSession(const std::string& app_name, apps::AppParams 
     if (cached) {
       trace_ = std::make_unique<simmpi::ExecutionTrace>(std::move(*cached));
     } else {
+      simmpi::SimProgram program;
+      {
+        telemetry::ScopedTimer timer(registry_, "session.record");
+        program = simmpi::record_program(spec);
+      }
       {
         telemetry::ScopedTimer timer(registry_, "session.simulate");
         trace_ = std::make_unique<simmpi::ExecutionTrace>(simmpi::Simulator(net).run(program));

@@ -56,12 +56,15 @@ class DiagnosisSession {
   /// Figure 2-style rendering of the most recent diagnosis's SHG.
   const std::string& last_shg() const { return last_shg_; }
 
-  /// Session-level wall-clock telemetry: "session.simulate",
-  /// "session.view_build", "session.diagnose" timers — plus, when the
-  /// trace cache is enabled (PcConfig::trace_cache_dir), the
-  /// "session.record", "session.trace_key" and "session.trace_load"
-  /// timers, "session.trace_store" on a miss, and the `trace_cache.*`
-  /// counters.
+  /// Session-level wall-clock telemetry: "session.view_build" and
+  /// "session.diagnose" timers, plus the path the trace took. Without a
+  /// trace cache, "session.simulate" covers recording and simulating.
+  /// With one (PcConfig::trace_cache_dir), "session.trace_key" times the
+  /// recording of the app straight into the cache key and
+  /// "session.trace_load" the lookup; a hit builds no program, and only a
+  /// miss adds "session.record" (recording again, into op vectors),
+  /// "session.simulate" and "session.trace_store". The `trace_cache.*`
+  /// counters say which it was.
   /// diagnose() folds the consultant's own registry (pc.* counters and
   /// timers, with their lap histograms) in here, so after a diagnosis this
   /// registry is the complete performance picture of the run, summed over

@@ -1,7 +1,10 @@
 #include "simmpi/program.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
+
+#include "simmpi/trace_cache.h"  // TraceKeyWriter
 
 namespace histpc::simmpi {
 
@@ -55,12 +58,21 @@ void MachineSpec::validate() const {
     if (!(s > 0.0)) throw std::invalid_argument("MachineSpec: node speed must be positive");
 }
 
+void Recorder::emit(const Op& op) {
+  if (ops_) {
+    ops_->push_back(op);
+  } else {
+    key_->op(op);
+    ++recorded_;
+  }
+}
+
 void Recorder::compute(double seconds) {
   if (seconds < 0) throw std::invalid_argument("compute: negative duration");
   Op op;
   op.kind = OpKind::Compute;
   op.seconds = builder_.jittered(seconds);
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::io(double seconds) {
@@ -68,7 +80,7 @@ void Recorder::io(double seconds) {
   Op op;
   op.kind = OpKind::Io;
   op.seconds = seconds;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::check_peer(int peer, bool allow_any) const {
@@ -87,7 +99,7 @@ void Recorder::send(int dest, int tag, std::size_t bytes, int comm) {
   op.tag = tag;
   op.comm = comm;
   op.bytes = bytes;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::recv(int src, int tag, int comm) {
@@ -97,7 +109,7 @@ void Recorder::recv(int src, int tag, int comm) {
   op.peer = src;
   op.tag = tag;
   op.comm = comm;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 RequestId Recorder::isend(int dest, int tag, std::size_t bytes, int comm) {
@@ -109,7 +121,7 @@ RequestId Recorder::isend(int dest, int tag, std::size_t bytes, int comm) {
   op.comm = comm;
   op.bytes = bytes;
   op.request = next_request_++;
-  out_.ops.push_back(op);
+  emit(op);
   return op.request;
 }
 
@@ -121,7 +133,7 @@ RequestId Recorder::irecv(int src, int tag, int comm) {
   op.tag = tag;
   op.comm = comm;
   op.request = next_request_++;
-  out_.ops.push_back(op);
+  emit(op);
   return op.request;
 }
 
@@ -131,54 +143,54 @@ void Recorder::wait(RequestId request) {
   Op op;
   op.kind = OpKind::Wait;
   op.request = request;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::waitall() {
   Op op;
   op.kind = OpKind::Waitall;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::barrier() {
   Op op;
   op.kind = OpKind::Barrier;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::allreduce(std::size_t bytes) {
   Op op;
   op.kind = OpKind::Allreduce;
   op.bytes = bytes;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::bcast(std::size_t bytes) {
   Op op;
   op.kind = OpKind::Bcast;
   op.bytes = bytes;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::gather(std::size_t bytes) {
   Op op;
   op.kind = OpKind::Gather;
   op.bytes = bytes;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::alltoall(std::size_t bytes) {
   Op op;
   op.kind = OpKind::Alltoall;
   op.bytes = bytes;
-  out_.ops.push_back(op);
+  emit(op);
 }
 
 void Recorder::func_enter(std::string_view function, std::string_view module) {
   Op op;
   op.kind = OpKind::FuncEnter;
   op.func = builder_.intern_function(function, module);
-  out_.ops.push_back(op);
+  emit(op);
   ++open_funcs_;
 }
 
@@ -186,16 +198,20 @@ void Recorder::func_exit() {
   if (open_funcs_ <= 0) throw std::logic_error("func_exit without matching func_enter");
   Op op;
   op.kind = OpKind::FuncExit;
-  out_.ops.push_back(op);
+  emit(op);
   --open_funcs_;
 }
 
 ProgramBuilder::ProgramBuilder(MachineSpec machine, RecordingOptions options)
-    : machine_(std::move(machine)), options_(options), rng_(options.seed) {
+    : ProgramBuilder(std::move(machine), options, nullptr) {}
+
+ProgramBuilder::ProgramBuilder(MachineSpec machine, RecordingOptions options,
+                               TraceKeyWriter* key)
+    : machine_(std::move(machine)), options_(options), rng_(options.seed), key_(key) {
   machine_.validate();
   if (options_.compute_jitter < 0 || options_.compute_jitter > 0.5)
     throw std::invalid_argument("compute_jitter must be in [0, 0.5]");
-  procs_.resize(machine_.rank_to_node.size());
+  if (!key_) procs_.resize(machine_.rank_to_node.size());
 }
 
 double ProgramBuilder::jittered(double seconds) {
@@ -207,22 +223,38 @@ double ProgramBuilder::jittered(double seconds) {
 
 void ProgramBuilder::record(const std::function<void(Recorder&)>& body) {
   if (built_) throw std::logic_error("ProgramBuilder reused after build()");
-  for (int r = 0; r < static_cast<int>(procs_.size()); ++r) {
-    procs_[r].ops.clear();
-    Recorder rec(*this, r, static_cast<int>(procs_.size()), procs_[r]);
+  const int nranks = machine_.num_ranks();
+  for (int r = 0; r < nranks; ++r) {
+    std::vector<Op>* ops = key_ ? nullptr : &procs_[static_cast<std::size_t>(r)].ops;
+    if (ops) ops->clear();
+    Recorder rec(*this, r, nranks, ops, key_);
     body(rec);
     if (rec.open_funcs_ != 0)
       throw std::logic_error("rank " + std::to_string(r) + " left " +
                              std::to_string(rec.open_funcs_) + " function scope(s) open");
+    if (key_) key_->end_rank(rec.recorded_);
   }
 }
 
 FuncId ProgramBuilder::intern_function(std::string_view function, std::string_view module) {
+  RecentFunc& recent = recent_funcs_[(reinterpret_cast<std::uintptr_t>(function.data()) >> 3) %
+                                     recent_funcs_.size()];
+  // An empty slot holds kNoFunc, which the bound check also rejects.
+  if (recent.function == function.data() &&
+      static_cast<std::size_t>(recent.id) < functions_.size()) {
+    const FuncInfo& f = functions_[static_cast<std::size_t>(recent.id)];
+    if (f.function == function && f.module == module) return recent.id;
+  }
   auto key = std::make_pair(std::string(function), std::string(module));
-  if (auto it = func_index_.find(key); it != func_index_.end()) return it->second;
-  FuncId id = static_cast<FuncId>(functions_.size());
-  functions_.push_back(FuncInfo{key.first, key.second});
-  func_index_.emplace(std::move(key), id);
+  FuncId id;
+  if (auto it = func_index_.find(key); it != func_index_.end()) {
+    id = it->second;
+  } else {
+    id = static_cast<FuncId>(functions_.size());
+    functions_.push_back(FuncInfo{key.first, key.second});
+    func_index_.emplace(std::move(key), id);
+  }
+  recent = {function.data(), id};
   return id;
 }
 
@@ -234,6 +266,12 @@ SimProgram ProgramBuilder::build() {
   p.procs = std::move(procs_);
   p.functions = std::move(functions_);
   return p;
+}
+
+SimProgram record_program(const ProgramSpec& spec) {
+  ProgramBuilder builder(spec.machine, spec.options);
+  builder.record(spec.body);
+  return builder.build();
 }
 
 }  // namespace histpc::simmpi

@@ -1,6 +1,7 @@
 // Program recording: turn per-rank C++ functions into op sequences.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <string>
@@ -11,6 +12,10 @@
 #include "util/rng.h"
 
 namespace histpc::simmpi {
+
+struct NetworkModel;   // simulator.h
+struct TraceKey;       // trace_cache.h
+class TraceKeyWriter;  // trace_cache.h: the content key's word layout
 
 /// Machine description: nodes (with relative CPU speeds) and the rank->node
 /// placement. Node and process *names* feed the Machine and Process resource
@@ -62,7 +67,9 @@ class ProgramBuilder;
 
 /// Handed to application code, one per rank; records intent without
 /// simulating. Blocking/nonblocking distinction therefore only matters at
-/// simulation time.
+/// simulation time. Each op goes to one of two places: the rank's op
+/// vector, or the content key of a recording that builds no program (see
+/// record_trace_key). The checks below run on both.
 class Recorder {
  public:
   int rank() const { return rank_; }
@@ -90,15 +97,18 @@ class Recorder {
 
  private:
   friend class ProgramBuilder;
-  Recorder(ProgramBuilder& builder, int rank, int size, ProcessProgram& out)
-      : builder_(builder), rank_(rank), size_(size), out_(out) {}
+  Recorder(ProgramBuilder& builder, int rank, int size, std::vector<Op>* ops, TraceKeyWriter* key)
+      : builder_(builder), rank_(rank), size_(size), ops_(ops), key_(key) {}
 
   void check_peer(int peer, bool allow_any = false) const;
+  void emit(const Op& op);
 
   ProgramBuilder& builder_;
   int rank_;
   int size_;
-  ProcessProgram& out_;
+  std::vector<Op>* ops_;  ///< the op-vector destination, or null
+  TraceKeyWriter* key_;   ///< the key destination, or null
+  std::uint64_t recorded_ = 0;  ///< ops folded into the key so far
   RequestId next_request_ = 0;
   int open_funcs_ = 0;
 };
@@ -117,6 +127,19 @@ class FunctionScope {
   Recorder& r_;
 };
 
+/// Everything one recording needs: the machine, the recording options and
+/// the body run once per rank. Every recording starts a fresh builder
+/// seeded from `options`, so recording a spec twice gives the same ops; the
+/// body therefore owns what it reads (it captures by value).
+struct ProgramSpec {
+  MachineSpec machine;
+  RecordingOptions options;
+  std::function<void(Recorder&)> body;
+};
+
+/// Record `spec` into op vectors, ready for simulation.
+SimProgram record_program(const ProgramSpec& spec);
+
 /// Records an SPMD program: runs `body` once per rank with a Recorder.
 class ProgramBuilder {
  public:
@@ -132,6 +155,9 @@ class ProgramBuilder {
 
  private:
   friend class Recorder;
+  friend TraceKey record_trace_key(const ProgramSpec& spec, const NetworkModel& net);
+  /// Records into `key` instead of op vectors, for record_trace_key.
+  ProgramBuilder(MachineSpec machine, RecordingOptions options, TraceKeyWriter* key);
   /// Apply the jitter model to a nominal compute duration.
   double jittered(double seconds);
 
@@ -141,6 +167,16 @@ class ProgramBuilder {
   std::vector<ProcessProgram> procs_;
   std::vector<FuncInfo> functions_;
   std::map<std::pair<std::string, std::string>, FuncId> func_index_;
+  /// The id last interned for a function name at a given address, checked
+  /// against the name's contents before use. App code passes the same
+  /// string literals on every call, so most lookups end here, not in
+  /// func_index_.
+  struct RecentFunc {
+    const char* function = nullptr;
+    FuncId id = kNoFunc;
+  };
+  std::array<RecentFunc, 16> recent_funcs_{};
+  TraceKeyWriter* key_ = nullptr;
   bool built_ = false;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -55,101 +54,67 @@ std::string temp_path_for(const std::string& path) {
          std::to_string(counter.fetch_add(1));
 }
 
-constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
-constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
-constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+}  // namespace
 
-/// Two 64-bit lanes over one stream of canonical little-endian words.
-/// Each word goes through the XXH64 round (multiply, rotate, multiply) in
-/// both lanes, and each digest is its lane's state after the XXH64
-/// avalanche. The lanes start from different values (XXH64's first and
-/// fourth lane seeds). A round is a bijection of the state for a fixed
-/// word and of the word for a fixed state, and so is the avalanche: two
-/// streams of equal length that differ in one word always differ in both
-/// digests.
-class KeyStream {
- public:
-  void word(std::uint64_t w) {
-    primary_ = round(primary_, w);
-    check_ = round(check_, w);
-  }
-  void f64(double v) { word(std::bit_cast<std::uint64_t>(v)); }
-  /// Two 32-bit fields in one word, `lo` in the low half.
-  void pair(std::uint32_t lo, std::uint32_t hi) {
-    word(static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32));
-  }
-  /// Length, then the bytes as little-endian words, the tail zero-padded.
-  void str(const std::string& s) {
-    word(s.size());
-    const auto* p = reinterpret_cast<const unsigned char*>(s.data());
-    for (std::size_t i = 0; i < s.size(); i += 8) {
-      std::uint64_t w = 0;
-      const std::size_t n = std::min<std::size_t>(8, s.size() - i);
-      for (std::size_t b = 0; b < n; ++b) w |= static_cast<std::uint64_t>(p[i + b]) << (8 * b);
-      word(w);
-    }
-  }
+TraceKeyWriter::TraceKeyWriter(const NetworkModel& net, const MachineSpec& machine,
+                               std::size_t nranks) {
+  f64(net.latency);
+  f64(net.bytes_per_second);
+  word(net.eager_limit);
+  f64(net.post_overhead);
 
-  TraceKey digest() const { return {avalanche(primary_), avalanche(check_)}; }
+  word(machine.node_names.size());
+  for (const std::string& n : machine.node_names) str(n);
+  for (double s : machine.node_speeds) f64(s);
+  word(machine.rank_to_node.size());
+  for (int r : machine.rank_to_node) word(static_cast<std::uint64_t>(r));
+  for (const std::string& p : machine.process_names) str(p);
 
- private:
-  static std::uint64_t round(std::uint64_t acc, std::uint64_t w) {
-    return std::rotl(acc + w * kPrime2, 31) * kPrime1;
+  word(nranks);
+}
+
+void TraceKeyWriter::str(const std::string& s) {
+  word(s.size());
+  const auto* p = reinterpret_cast<const unsigned char*>(s.data());
+  for (std::size_t i = 0; i < s.size(); i += 8) {
+    std::uint64_t w = 0;
+    const std::size_t n = std::min<std::size_t>(8, s.size() - i);
+    for (std::size_t b = 0; b < n; ++b) w |= static_cast<std::uint64_t>(p[i + b]) << (8 * b);
+    word(w);
   }
-  static std::uint64_t avalanche(std::uint64_t h) {
+}
+
+TraceKey TraceKeyWriter::finish(const std::vector<FuncInfo>& functions) {
+  word(functions.size());
+  for (const FuncInfo& f : functions) {
+    str(f.function);
+    str(f.module);
+  }
+  const auto avalanche = [](std::uint64_t h) {
     h ^= h >> 33;
     h *= kPrime2;
     h ^= h >> 29;
     h *= kPrime3;
     h ^= h >> 32;
     return h;
-  }
-
-  std::uint64_t primary_ = kPrime1 + kPrime2;
-  std::uint64_t check_ = 0 - kPrime1;
-};
-
-}  // namespace
+  };
+  return {avalanche(primary_), avalanche(check_)};
+}
 
 TraceKey trace_content_key(const SimProgram& program, const NetworkModel& net) {
-  // One pass over the inputs feeds both digests. Every count and length
-  // is hashed ahead of what it counts, so the word stream is unambiguous.
-  KeyStream h;
-  h.f64(net.latency);
-  h.f64(net.bytes_per_second);
-  h.word(net.eager_limit);
-  h.f64(net.post_overhead);
-
-  const MachineSpec& m = program.machine;
-  h.word(m.node_names.size());
-  for (const std::string& n : m.node_names) h.str(n);
-  for (double s : m.node_speeds) h.f64(s);
-  h.word(m.rank_to_node.size());
-  for (int r : m.rank_to_node) h.word(static_cast<std::uint64_t>(r));
-  for (const std::string& p : m.process_names) h.str(p);
-
-  h.word(program.functions.size());
-  for (const FuncInfo& f : program.functions) {
-    h.str(f.function);
-    h.str(f.module);
-  }
-
-  // An op is five words; the three packed pairs are lossless because each
-  // of those fields is 32 bits or narrower.
-  static_assert(sizeof(Op::peer) == 4 && sizeof(Op::tag) == 4 && sizeof(Op::comm) == 4 &&
-                sizeof(Op::request) == 4 && sizeof(Op::func) == 4 && sizeof(Op::kind) == 1);
-  h.word(program.procs.size());
+  TraceKeyWriter key(net, program.machine, program.procs.size());
   for (const ProcessProgram& proc : program.procs) {
-    h.word(proc.ops.size());
-    for (const Op& op : proc.ops) {
-      h.f64(op.seconds);
-      h.word(op.bytes);
-      h.pair(static_cast<std::uint32_t>(op.peer), static_cast<std::uint32_t>(op.tag));
-      h.pair(static_cast<std::uint32_t>(op.comm), static_cast<std::uint32_t>(op.request));
-      h.pair(static_cast<std::uint32_t>(op.func), static_cast<std::uint8_t>(op.kind));
-    }
+    for (const Op& op : proc.ops) key.op(op);
+    key.end_rank(proc.ops.size());
   }
-  return h.digest();
+  return key.finish(program.functions);
+}
+
+TraceKey record_trace_key(const ProgramSpec& spec, const NetworkModel& net) {
+  TraceKeyWriter key(net, spec.machine, spec.machine.rank_to_node.size());
+  ProgramBuilder builder(spec.machine, spec.options, &key);
+  builder.record(spec.body);
+  return key.finish(builder.functions_);
 }
 
 TraceCache::TraceCache(TraceCacheConfig config, telemetry::Registry* registry)

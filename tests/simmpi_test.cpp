@@ -94,6 +94,21 @@ TEST(Recorder, InternsFunctionsAcrossRanks) {
   EXPECT_EQ(p.functions[0].module, "mod.f");
 }
 
+TEST(Recorder, InterningGoesByNamesNotAddresses) {
+  ProgramBuilder b(machine_of(1));
+  // One buffer, rewritten in place: the address repeats, the name does not.
+  std::string function = "alpha";
+  const FuncId alpha = b.intern_function(function, "mod.f");
+  function = "bravo";
+  const FuncId bravo = b.intern_function(function, "mod.f");
+  EXPECT_NE(bravo, alpha);
+  EXPECT_NE(b.intern_function(function, "other.f"), bravo);
+  function = "alpha";
+  EXPECT_EQ(b.intern_function(function, "mod.f"), alpha);
+  EXPECT_EQ(b.intern_function("bravo", "mod.f"), bravo);
+  EXPECT_EQ(b.build().functions.size(), 3u);
+}
+
 // -------------------------------------------------------------- simulator
 
 TEST(Simulator, ComputeScalesWithNodeSpeed) {

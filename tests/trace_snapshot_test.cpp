@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <typeindex>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -312,8 +314,8 @@ TEST(TraceCacheTest, ContentKeyIsStableAndSensitive) {
   const simmpi::SimProgram kat_program = key_test_program();
   const simmpi::NetworkModel kat_net = key_test_network();
   const simmpi::TraceKey kat_key = simmpi::trace_content_key(kat_program, kat_net);
-  EXPECT_EQ(kat_key.primary, 0xb641bbaf6c37059bull);
-  EXPECT_EQ(kat_key.check, 0x4176cf613025912full);
+  EXPECT_EQ(kat_key.primary, 0xe7ecd0d54cda17ddull);
+  EXPECT_EQ(kat_key.check, 0x2dacd36051d41481ull);
 
   // Changing any one covered input changes both digests.
   using Mutation = std::function<void(simmpi::SimProgram&, simmpi::NetworkModel&)>;
@@ -346,6 +348,17 @@ TEST(TraceCacheTest, ContentKeyIsStableAndSensitive) {
          to.insert(to.begin(), from.back());
          from.pop_back();
        }},
+      // The stream keeps its length here: the rank terminators and op
+      // counts, not a count ahead of each rank's ops, mark where ranks end.
+      {"all of rank 1's ops moved to the end of rank 0",
+       [](auto& prog, auto&) {
+         auto& from = prog.procs[1].ops;
+         auto& to = prog.procs[0].ops;
+         to.insert(to.end(), from.begin(), from.end());
+         from.clear();
+       }},
+      {"unused function appended to the table",
+       [](auto& prog, auto&) { prog.functions.push_back({"unused", "unused.f"}); }},
   };
   for (const auto& [name, mutate] : mutations) {
     simmpi::SimProgram changed_program = kat_program;
@@ -354,6 +367,58 @@ TEST(TraceCacheTest, ContentKeyIsStableAndSensitive) {
     const simmpi::TraceKey changed = simmpi::trace_content_key(changed_program, changed_net);
     EXPECT_NE(changed.primary, kat_key.primary) << name;
     EXPECT_NE(changed.check, kat_key.check) << name;
+  }
+}
+
+// e2ebench and micro_core fill caches with trace_content_key over a built
+// program, while a session records straight into the key; if the two ever
+// differed, every warm lookup would silently miss.
+class RecordedKey : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RecordedKey, EqualsTheKeyOfTheBuiltProgram) {
+  const std::string& app = GetParam();
+  apps::AppParams renamed;
+  renamed.node_base = 9;
+  apps::AppParams jittered;
+  jittered.compute_jitter = 0.02;
+  jittered.seed = 4242;
+  const simmpi::NetworkModel net = apps::network_for(app);
+  for (const apps::AppParams& p : {apps::AppParams{}, renamed, jittered}) {
+    const simmpi::TraceKey built = simmpi::trace_content_key(apps::build_app(app, p), net);
+    EXPECT_EQ(simmpi::record_trace_key(apps::app_spec(app, p), net), built)
+        << "node_base " << p.node_base << ", jitter " << p.compute_jitter;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(All, RecordedKey, ::testing::ValuesIn(apps::app_names()),
+                         [](const auto& param_info) { return param_info.param; });
+
+/// Dynamic type of what `fn` throws (typeid(void) when it returns).
+std::type_index thrown_type(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return typeid(e);
+  }
+  return typeid(void);
+}
+
+TEST(TraceCacheTest, RecordingIntoTheKeyRunsTheRecorderChecks) {
+  const simmpi::NetworkModel net;
+  const auto spec = [](std::function<void(simmpi::Recorder&)> body) {
+    return simmpi::ProgramSpec{simmpi::MachineSpec::one_to_one(2, "node", "bad"), {},
+                               std::move(body)};
+  };
+  const std::vector<std::pair<std::string, simmpi::ProgramSpec>> broken = {
+      {"peer out of range", spec([](simmpi::Recorder& r) { r.send(5, 0, 8); })},
+      {"wait on an unknown request", spec([](simmpi::Recorder& r) { r.wait(3); })},
+      {"function scope left open",
+       spec([](simmpi::Recorder& r) { r.func_enter("main", "main.c"); })},
+  };
+  for (const auto& [name, s] : broken) {
+    const std::type_index vectors = thrown_type([&] { simmpi::record_program(s); });
+    EXPECT_NE(vectors, std::type_index(typeid(void))) << name;
+    EXPECT_EQ(thrown_type([&] { simmpi::record_trace_key(s, net); }), vectors) << name;
   }
 }
 
@@ -506,7 +571,16 @@ TEST(TraceCacheSession, DiagnosisBitIdenticalAcrossSimulateAndCacheLoad) {
   EXPECT_EQ(cold.registry().counter("trace_cache.miss"), 1u);
   EXPECT_EQ(warm.registry().counter("trace_cache.hit"), 1u);
   EXPECT_GT(warm.registry().timer("session.trace_load").seconds, 0.0);
+  // A hit records once, into the key, and builds no program; a miss
+  // records again into op vectors and simulates.
+  EXPECT_EQ(warm.registry().timer("session.record").count, 0u);
   EXPECT_EQ(warm.registry().timer("session.simulate").count, 0u);
+  EXPECT_EQ(cold.registry().timer("session.record").count, 1u);
+  EXPECT_EQ(cold.registry().timer("session.simulate").count, 1u);
+  // The session stored its snapshot under the key e2ebench computes.
+  const TraceCache cache({cached_cfg.trace_cache_dir});
+  EXPECT_TRUE(fs::exists(cache.path_for(simmpi::trace_content_key(
+      apps::build_app("poisson_c", p), apps::network_for("poisson_c")))));
   // Every call on the cache path is timed: the key on every cached
   // session, the store only on a miss, neither without a cache.
   EXPECT_EQ(cold.registry().timer("session.trace_key").count, 1u);
