@@ -43,10 +43,8 @@ int main() {
     sources.push_back(std::move(d));
   }
 
-  const pc::DirectiveSet inter =
-      history::combine(sources[0], sources[1], history::CombineMode::Intersection);
-  const pc::DirectiveSet uni =
-      history::combine(sources[0], sources[1], history::CombineMode::Union);
+  const pc::DirectiveSet inter = history::combine_runs(sources, history::CombineMode::Intersection);
+  const pc::DirectiveSet uni = history::combine_runs(sources, history::CombineMode::Union);
 
   std::size_t common = 0;
   for (const auto& p : uni.priorities)

@@ -4,9 +4,9 @@
 // refinement, SHG insertion/dedup, directive parsing, and a full
 // end-to-end diagnosis.
 //
-// Besides the console table, main() writes BENCH_metrics.json (directive
-// lookup, store query with p50/p99 from the telemetry histograms, trace
-// snapshots, table1-equivalent end-to-end seconds) so future changes have
+// Besides the console table, main() writes BENCH_metrics.json (store
+// query with p50/p99 from the telemetry histograms, trace snapshots,
+// table1-equivalent end-to-end seconds) so future changes have
 // a perf trajectory to compare against — and appends a
 // telemetry::PerfRecord to perf-log/micro_core.jsonl for `histpc
 // perf-diff`.
@@ -31,7 +31,6 @@
 #include "metrics/metric_instance.h"
 #include "metrics/trace_view.h"
 #include "pc/consultant.h"
-#include "pc/directive_index.h"
 #include "pc/shg.h"
 #include "resources/focus_table.h"
 #include "simmpi/simulator.h"
@@ -239,89 +238,6 @@ void BM_DirectiveParseSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectiveParseSerialize);
 
-/// A synthetic harvested directive set of `n` directives in the shape the
-/// generator emits: subtree prunes (some wildcard-hypothesis), false-pair
-/// prunes, priorities, and per-hypothesis thresholds.
-pc::DirectiveSet synthetic_directives(int n) {
-  pc::DirectiveSet set;
-  for (int i = 0; i < n; ++i) {
-    const std::string hyp = "Hypothesis" + std::to_string(i % 16);
-    const std::string module = "/Code/mod" + std::to_string(i) + ".f";
-    const std::string focus = "<" + module + ",/Machine,/Process,/SyncObject>";
-    switch (i % 4) {
-      case 0:
-        set.prunes.push_back({i % 8 == 0 ? std::string(pc::kAnyHypothesis) : hyp, module});
-        break;
-      case 1: set.pair_prunes.push_back({hyp, focus}); break;
-      case 2:
-        set.priorities.push_back(
-            {hyp, focus, i % 8 == 0 ? pc::Priority::High : pc::Priority::Low});
-        break;
-      case 3: set.thresholds.push_back({hyp, 0.05 + 0.001 * (i % 100)}); break;
-    }
-  }
-  return set;
-}
-
-struct DirectiveLookupQuery {
-  std::string hypothesis;
-  resources::Focus focus;
-  std::string focus_name;
-};
-
-/// 64 queries mixing prune/priority hits and misses against
-/// synthetic_directives(n).
-std::vector<DirectiveLookupQuery> synthetic_lookup_queries(int n) {
-  const auto& view = shared_view();
-  const auto whole = resources::Focus::whole_program(view.resources());
-  std::vector<DirectiveLookupQuery> out;
-  for (int i = 0; i < 64; ++i) {
-    // Even queries land inside the directive module range (hits), odd ones
-    // name modules past it (misses — the consultant's common case).
-    const int m = i % 2 == 0 ? (i * 7) % std::max(n, 1) : n + i;
-    auto focus = whole.with_part(0, "/Code/mod" + std::to_string(m) + ".f/solve");
-    std::string name = focus.name();
-    out.push_back({"Hypothesis" + std::to_string(i % 16), std::move(focus), std::move(name)});
-  }
-  return out;
-}
-
-void BM_DirectiveLookupScan(benchmark::State& state) {
-  // The retained oracle: per-candidate linear scans over the directives.
-  const int n = static_cast<int>(state.range(0));
-  const pc::DirectiveSet set = synthetic_directives(n);
-  const auto queries = synthetic_lookup_queries(n);
-  std::size_t qi = 0;
-  for (auto _ : state) {
-    const DirectiveLookupQuery& q = queries[qi];
-    qi = (qi + 1) % queries.size();
-    benchmark::DoNotOptimize(set.prune_match(q.hypothesis, q.focus));
-    benchmark::DoNotOptimize(set.priority_of(q.hypothesis, q.focus_name));
-    benchmark::DoNotOptimize(set.threshold_for(q.hypothesis));
-  }
-  state.counters["directives"] = static_cast<double>(n);
-}
-BENCHMARK(BM_DirectiveLookupScan)->Arg(128)->Arg(1024)->Arg(4096);
-
-void BM_DirectiveLookupIndexed(benchmark::State& state) {
-  // Same queries through the DirectiveIndex, built once outside the loop
-  // exactly as the consultant builds it after apply_mappings().
-  const int n = static_cast<int>(state.range(0));
-  const pc::DirectiveSet set = synthetic_directives(n);
-  const pc::DirectiveIndex index(set);
-  const auto queries = synthetic_lookup_queries(n);
-  std::size_t qi = 0;
-  for (auto _ : state) {
-    const DirectiveLookupQuery& q = queries[qi];
-    qi = (qi + 1) % queries.size();
-    benchmark::DoNotOptimize(index.prune_match(q.hypothesis, q.focus));
-    benchmark::DoNotOptimize(index.priority_of(q.hypothesis, q.focus_name));
-    benchmark::DoNotOptimize(index.threshold_for(q.hypothesis));
-  }
-  state.counters["directives"] = static_cast<double>(n);
-}
-BENCHMARK(BM_DirectiveLookupIndexed)->Arg(128)->Arg(1024)->Arg(4096);
-
 void BM_FullDiagnosis(benchmark::State& state) {
   const auto& view = shared_view();
   for (auto _ : state) {
@@ -455,22 +371,10 @@ double table1_end_to_end_seconds() {
   p.node_base = 9;
   core::DiagnosisSession session("poisson_c", p);
   const pc::DiagnosisResult base = session.diagnose();
-  const auto record = session.make_record(base, "C");
-  std::vector<history::GeneratorOptions> variants(5);
-  variants[0].priorities = false;
-  variants[0].false_pair_prunes = true;
-  variants[1].priorities = false;
-  variants[1].historic_prunes = false;
-  variants[2].priorities = false;
-  variants[2].general_prunes = false;
-  variants[2].false_pair_prunes = true;
-  variants[3].general_prunes = false;
-  variants[3].historic_prunes = false;
-  // variants[4]: generator defaults (priorities plus all prunes).
-  for (const auto& options : variants) {
-    const auto directives = history::DirectiveGenerator(options).from_record(record);
-    benchmark::DoNotOptimize(session.diagnose(directives));
-  }
+  const auto variants = core::table1_variants(session.make_record(base, "C"));
+  // Variant 0 is "No Directives": the base diagnosis above already ran it.
+  for (std::size_t i = 1; i < variants.size(); ++i)
+    benchmark::DoNotOptimize(session.diagnose(variants[i].directives));
   return seconds_since(start);
 }
 
@@ -562,37 +466,6 @@ void write_bench_metrics(bool quick) {
     out["parallel_variants"] = std::move(pv);
   }
 
-  // Directive lookup: scan oracle vs DirectiveIndex on a harvested-scale
-  // set (the acceptance bar is >=10x at >=1000 directives).
-  const int n_directives = 1024;
-  const pc::DirectiveSet dir_set = synthetic_directives(n_directives);
-  const pc::DirectiveIndex dir_index(dir_set);
-  const auto dir_queries = synthetic_lookup_queries(n_directives);
-  std::size_t dir_qi = 0;
-  auto next_query = [&]() -> const DirectiveLookupQuery& {
-    const DirectiveLookupQuery& q = dir_queries[dir_qi];
-    dir_qi = (dir_qi + 1) % dir_queries.size();
-    return q;
-  };
-  const double dir_scan_ns = time_ns_per_call([&] {
-    const DirectiveLookupQuery& q = next_query();
-    benchmark::DoNotOptimize(dir_set.prune_match(q.hypothesis, q.focus));
-    benchmark::DoNotOptimize(dir_set.priority_of(q.hypothesis, q.focus_name));
-    benchmark::DoNotOptimize(dir_set.threshold_for(q.hypothesis));
-  });
-  const double dir_indexed_ns = time_ns_per_call([&] {
-    const DirectiveLookupQuery& q = next_query();
-    benchmark::DoNotOptimize(dir_index.prune_match(q.hypothesis, q.focus));
-    benchmark::DoNotOptimize(dir_index.priority_of(q.hypothesis, q.focus_name));
-    benchmark::DoNotOptimize(dir_index.threshold_for(q.hypothesis));
-  });
-  util::Json lookup = util::Json::object();
-  lookup["directives"] = static_cast<double>(n_directives);
-  lookup["scan_ns_per_lookup"] = dir_scan_ns;
-  lookup["indexed_ns_per_lookup"] = dir_indexed_ns;
-  lookup["speedup_vs_scan"] = dir_indexed_ns > 0 ? dir_scan_ns / dir_indexed_ns : 0.0;
-  out["directive_lookup"] = std::move(lookup);
-
   // Experiment store at fleet scale: 1000 stored runs. Indexed latest()
   // answers from index-v1.jsonl and loads one record; the pre-index path
   // re-parses every file per query — measured both over binary snapshots
@@ -665,8 +538,8 @@ void write_bench_metrics(bool quick) {
     out["store_query"] = std::move(sq);
 
     // N-run directive generation over the same synthetic history: pooled
-    // from_records, the pairwise combine fold, and weighted aggregation,
-    // all over the newest 16 runs.
+    // from_records, N-run intersection, and weighted aggregation, all over
+    // the newest 16 runs.
     {
       std::vector<history::ExperimentRecord> records;
       for (std::size_t i = 0; i < 16; ++i) {
@@ -685,14 +558,6 @@ void write_bench_metrics(bool quick) {
 
       const double pooled_ns = time_ns_per_call(
           [&] { benchmark::DoNotOptimize(generator.from_records(records)); }, budget);
-      const double fold_ns = time_ns_per_call(
-          [&] {
-            pc::DirectiveSet acc = sets.front();
-            for (std::size_t i = 1; i < sets.size(); ++i)
-              acc = history::combine(acc, sets[i], history::CombineMode::Intersection);
-            benchmark::DoNotOptimize(acc);
-          },
-          budget);
       const double nrun_ns = time_ns_per_call(
           [&] {
             benchmark::DoNotOptimize(
@@ -706,10 +571,8 @@ void write_bench_metrics(bool quick) {
       util::Json dg = util::Json::object();
       dg["runs"] = static_cast<double>(records.size());
       dg["pooled_ns_per_gen"] = pooled_ns;
-      dg["pairwise_fold_ns_per_gen"] = fold_ns;
       dg["nrun_combine_ns_per_gen"] = nrun_ns;
       dg["weighted_ns_per_gen"] = weighted_ns;
-      dg["speedup_vs_pairwise_fold"] = nrun_ns > 0 ? fold_ns / nrun_ns : 0.0;
       out["directive_gen_nruns"] = std::move(dg);
     }
     fs::remove_all(root);
@@ -813,14 +676,11 @@ void write_bench_metrics(bool quick) {
     log.append(rec);
     std::printf("appended perf record to %s\n", log.path().c_str());
   }
-  std::printf("wrote %s: directive lookup %.0f ns indexed / %.0f ns scan (%.1fx @ %d directives), "
-              "focus ops %.0f ns string / %.0f ns interned (%.1fx), "
+  std::printf("wrote %s: focus ops %.0f ns string / %.0f ns interned (%.1fx), "
               "variants %.3f s sequential / %.3f s on %d workers, "
               "trace snapshot %.2f ms simulate / %.2f ms key + %.2f ms warm load (%.1fx), "
               "table1 workload %.3f s\n",
-              bench::kBenchMetricsPath, dir_indexed_ns, dir_scan_ns,
-              dir_indexed_ns > 0 ? dir_scan_ns / dir_indexed_ns : 0.0, n_directives,
-              intern_string_ns, intern_id_ns,
+              bench::kBenchMetricsPath, intern_string_ns, intern_id_ns,
               intern_id_ns > 0 ? intern_string_ns / intern_id_ns : 0.0, variants_seq_s,
               variants_par_s, variants_threads, snapshot_simulate_ns / 1e6,
               snapshot_key_ns / 1e6, snapshot_load_ns / 1e6, snapshot_hit_speedup, table1_s);

@@ -6,19 +6,10 @@
 // Workload: the 2-D Poisson application (version C) on four nodes,
 // identical thresholds in every run (Section 4.1).
 #include "bench_common.h"
+#include "core/variant_runner.h"
 #include "util/json.h"
 
 using namespace histpc;
-
-namespace {
-
-struct Variant {
-  std::string name;
-  history::GeneratorOptions options;
-  bool use_directives = true;
-};
-
-}  // namespace
 
 int main() {
   bench::print_header("Table 1: time (s) to find true bottlenecks with search directives",
@@ -36,50 +27,9 @@ int main() {
   std::printf("base: %zu pairs tested, %zu bottlenecks, search ended at %.1fs\n\n",
               base.stats.pairs_tested, base.stats.bottlenecks, base.stats.end_time);
 
-  std::vector<Variant> variants;
-  {
-    Variant v;
-    v.name = "No Directives";
-    v.use_directives = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "Prunes Only";
-    v.options.priorities = false;
-    v.options.false_pair_prunes = true;
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "General Prunes Only";
-    v.options.priorities = false;
-    v.options.historic_prunes = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "Historic Prunes Only";
-    v.options.priorities = false;
-    v.options.general_prunes = false;
-    v.options.false_pair_prunes = true;
-    variants.push_back(v);
-  }
-  {
-    Variant v;
-    v.name = "Priorities Only";
-    v.options.general_prunes = false;
-    v.options.historic_prunes = false;
-    variants.push_back(v);
-  }
-  {
-    // The paper's combined variant: hierarchy/resource prunes plus
-    // priorities, but no pair prunes of previously-false tests, so new
-    // behaviours can never be missed.
-    Variant v;
-    v.name = "Priorities & All Prunes";
-    variants.push_back(v);
-  }
+  // Variant 0 is "No Directives"; the others are the paper's directed
+  // configurations, harvested from the base record.
+  const std::vector<core::DiagnosisVariant> variants = core::table1_variants(record);
 
   // One reference set for every column (the paper's fixed base set):
   // clearly significant bottlenecks outside the pruned (redundant)
@@ -105,15 +55,11 @@ int main() {
   std::vector<std::vector<double>> times(variants.size());
   util::Json telemetry_by_variant = util::Json::object();
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    pc::DiagnosisResult result = [&] {
-      if (!variants[i].use_directives) return base;
-      const pc::DirectiveSet directives =
-          history::DirectiveGenerator(variants[i].options).from_record(record);
-      // Every variant diagnoses the same version-C execution; each
-      // diagnose() call is an independent online search, so reuse the
-      // session instead of re-simulating the identical trace.
-      return base_session.diagnose(directives);
-    }();
+    // Every variant diagnoses the same version-C execution; each
+    // diagnose() call is an independent online search, so reuse the
+    // session instead of re-simulating the identical trace.
+    const pc::DiagnosisResult result =
+        i == 0 ? base : base_session.diagnose(variants[i].directives);
     for (double pct : percents) times[i].push_back(result.time_to_find(reference, pct));
     pairs_table.add_row({variants[i].name, std::to_string(result.stats.pairs_tested),
                          std::to_string(result.stats.bottlenecks)});

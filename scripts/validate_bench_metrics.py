@@ -22,7 +22,6 @@ import json
 import sys
 
 REQUIRED = {
-    "directive_lookup": ["scan_ns_per_lookup", "indexed_ns_per_lookup", "speedup_vs_scan"],
     "store_query": [
         "runs",
         "indexed_ns_per_query",
@@ -37,7 +36,6 @@ REQUIRED = {
     "directive_gen_nruns": [
         "runs",
         "pooled_ns_per_gen",
-        "pairwise_fold_ns_per_gen",
         "nrun_combine_ns_per_gen",
         "weighted_ns_per_gen",
     ],

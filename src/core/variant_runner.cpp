@@ -129,6 +129,9 @@ std::vector<DiagnosisVariant> table1_variants(const history::ExperimentRecord& r
     specs.push_back(s);
   }
   {
+    // The paper's combined variant: hierarchy/resource prunes plus
+    // priorities, but no pair prunes of previously-false tests, so new
+    // behaviours can never be missed.
     Spec s;
     s.name = "Priorities & All Prunes";
     specs.push_back(s);

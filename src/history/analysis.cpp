@@ -2,7 +2,6 @@
 
 #include <tuple>
 
-#include "pc/directive_index.h"
 #include "resources/focus.h"
 
 namespace histpc::history {
@@ -57,11 +56,10 @@ std::vector<pc::BottleneckReport> filter_pruned(
     const resources::ResourceDb& db) {
   pc::DirectiveSet mapped = directives;
   mapped.apply_mappings();
-  const pc::DirectiveIndex index(mapped);
   std::vector<pc::BottleneckReport> out;
   for (const auto& b : reference) {
     auto focus = resources::Focus::parse(b.focus, db, /*validate_resources=*/false);
-    if (focus && index.is_pruned(b.hypothesis, *focus)) continue;
+    if (focus && mapped.is_pruned(b.hypothesis, *focus)) continue;
     out.push_back(b);
   }
   return out;

@@ -25,52 +25,6 @@ void sort_unique_prunes(std::vector<pc::PruneDirective>& prunes) {
 
 }  // namespace
 
-DirectiveSet combine(const DirectiveSet& a, const DirectiveSet& b, CombineMode mode) {
-  DirectiveSet out;
-
-  // Non-priority directives: concatenate, dedup prunes.
-  out.prunes = a.prunes;
-  out.prunes.insert(out.prunes.end(), b.prunes.begin(), b.prunes.end());
-  sort_unique_prunes(out.prunes);
-  out.thresholds = a.thresholds;
-  out.thresholds.insert(out.thresholds.end(), b.thresholds.begin(), b.thresholds.end());
-  // Deterministic regardless of argument order: duplicate thresholds keep
-  // the max (conservative), with a warning when a and b disagree. Without
-  // this, threshold_for's first-match rule silently let `a` win.
-  out.resolve_threshold_conflicts();
-  out.maps = a.maps;
-  out.maps.insert(out.maps.end(), b.maps.begin(), b.maps.end());
-
-  struct Outcome {
-    bool high_a = false, low_a = false, high_b = false, low_b = false;
-  };
-  std::map<std::pair<std::string, std::string>, Outcome> pairs;
-  for (const auto& p : a.priorities) {
-    auto& o = pairs[{p.hypothesis, p.focus}];
-    if (p.priority == Priority::High) o.high_a = true;
-    if (p.priority == Priority::Low) o.low_a = true;
-  }
-  for (const auto& p : b.priorities) {
-    auto& o = pairs[{p.hypothesis, p.focus}];
-    if (p.priority == Priority::High) o.high_b = true;
-    if (p.priority == Priority::Low) o.low_b = true;
-  }
-
-  for (const auto& [key, o] : pairs) {
-    Priority result = Priority::Medium;
-    if (mode == CombineMode::Intersection) {
-      if (o.high_a && o.high_b) result = Priority::High;
-      else if (o.low_a && o.low_b) result = Priority::Low;
-    } else {  // Union
-      if (o.high_a || o.high_b) result = Priority::High;
-      else if (o.low_a || o.low_b) result = Priority::Low;
-    }
-    if (result != Priority::Medium)
-      out.priorities.push_back({key.first, key.second, result});
-  }
-  return out;
-}
-
 DirectiveSet combine_runs(const std::vector<DirectiveSet>& sets, CombineMode mode) {
   DirectiveSet out;
   const std::size_t n = sets.size();
@@ -80,24 +34,31 @@ DirectiveSet combine_runs(const std::vector<DirectiveSet>& sets, CombineMode mod
     out.prunes.insert(out.prunes.end(), s.prunes.begin(), s.prunes.end());
     out.thresholds.insert(out.thresholds.end(), s.thresholds.begin(), s.thresholds.end());
     out.maps.insert(out.maps.end(), s.maps.begin(), s.maps.end());
-    // pair_prunes deliberately dropped, as in combine(): an exact-pair
-    // prune harvested from one run is too aggressive to survive pooling.
+    // pair_prunes deliberately dropped: an exact-pair prune harvested
+    // from one run is too aggressive to survive pooling.
   }
   sort_unique_prunes(out.prunes);
   out.resolve_threshold_conflicts();
 
-  // Count, per (hypothesis : focus), how many runs voted High / Low.
-  // "High in all" means all n runs, so a pair one run never tested cannot
-  // reach intersection-High — identical to the pairwise operator for n=2.
+  // Count, per (hypothesis : focus), how many runs voted High / Low; a run
+  // votes at most once per level. "High in all" means all n runs, so a
+  // pair one run never tested cannot reach intersection-High.
   struct Votes {
     std::size_t high = 0, low = 0;
+    std::size_t last_high_run = 0, last_low_run = 0;  ///< 1-based; 0 = none yet
   };
   std::map<std::pair<std::string, std::string>, Votes> pairs;
-  for (const DirectiveSet& s : sets) {
-    for (const auto& p : s.priorities) {
+  for (std::size_t run = 1; run <= n; ++run) {
+    for (const auto& p : sets[run - 1].priorities) {
       auto& v = pairs[{p.hypothesis, p.focus}];
-      if (p.priority == Priority::High) ++v.high;
-      if (p.priority == Priority::Low) ++v.low;
+      if (p.priority == Priority::High && v.last_high_run != run) {
+        ++v.high;
+        v.last_high_run = run;
+      }
+      if (p.priority == Priority::Low && v.last_low_run != run) {
+        ++v.low;
+        v.last_low_run = run;
+      }
     }
   }
   for (const auto& [key, v] : pairs) {

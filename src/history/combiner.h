@@ -1,18 +1,12 @@
 // Combining search directives from multiple previous runs (Section 4.3):
 //
-//  * intersection (A ∩ B): high priority only for pairs that tested true
-//    in BOTH runs; low only for pairs false in both.
-//  * union (A ∪ B): high for pairs true in EITHER run; low for pairs false
-//    in either run that were not true in the other.
-//
-// Combination operates on the priority directives; prunes, thresholds and
-// maps are concatenated (prunes deduped).
-//
-// Beyond the paper's pairwise operators this header provides the N-run
-// generalizations used at fleet scale:
-//
-//  * combine_runs — intersection / union over any number of runs (high in
-//    ALL / high in ANY). Bit-identical to combine(a, b, mode) for N = 2.
+//  * combine_runs — the paper's intersection and union, over any number of
+//    runs. Intersection (A ∩ B): high priority only for pairs that tested
+//    true in EVERY run; low only for pairs false in every run. Union
+//    (A ∪ B): high for pairs true in ANY run; low for pairs false in some
+//    run and true in none. Combination operates on the priority
+//    directives; prunes, thresholds and maps are concatenated (prunes
+//    deduped).
 //  * combine_weighted — recency- and frequency-weighted voting: each run
 //    carries an exponentially decayed weight (newest = 1), and a priority
 //    or prune directive survives when its weighted support clears a
@@ -31,15 +25,12 @@ namespace histpc::history {
 
 enum class CombineMode { Intersection, Union };
 
-pc::DirectiveSet combine(const pc::DirectiveSet& a, const pc::DirectiveSet& b,
-                         CombineMode mode);
-
 /// N-run intersection/union. Intersection: a pair is High only when High
 /// in every run, Low only when Low in every run. Union: High when High
-/// anywhere, else Low when Low anywhere. Prunes are concatenated and
-/// deduped, thresholds resolved conservatively (max wins), maps
-/// concatenated; pair prunes are dropped, exactly as combine() drops them.
-/// combine_runs({a, b}, mode) == combine(a, b, mode), field for field.
+/// anywhere, else Low when Low anywhere. A run listing a pair twice at one
+/// level still votes once for it. Prunes are concatenated and deduped,
+/// thresholds resolved conservatively (max wins), maps concatenated; pair
+/// prunes are dropped. Priorities come out sorted by (hypothesis, focus).
 pc::DirectiveSet combine_runs(const std::vector<pc::DirectiveSet>& sets, CombineMode mode);
 
 struct WeightedCombineOptions {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/log.h"
@@ -47,23 +48,30 @@ util::Json TelemetrySummary::to_json() const {
   return j;
 }
 
+namespace {
+
+DirectiveSet with_mappings_applied(DirectiveSet set) {
+  set.apply_mappings();
+  return set;
+}
+
+}  // namespace
+
 PerformanceConsultant::PerformanceConsultant(const metrics::TraceView& view, PcConfig config,
                                              DirectiveSet directives)
     : view_(view),
       foci_(view.foci()),
       config_(std::move(config)),
-      directives_(std::move(directives)),
+      directives_(with_mappings_applied(std::move(directives))),
+      // Compiled from the mapped set: the index must see the rewritten
+      // resource names.
+      directive_index_(directives_, foci_, config_.hypotheses),
       tracer_(config_.trace_sink),
       instr_(view, config_.cost_model, config_.insertion_latency,
              config_.perturbation_factor, &tracer_),
       shg_(config_.hypotheses, foci_) {
   if (config_.tick <= 0 || config_.min_observation <= 0)
     throw std::invalid_argument("PcConfig: tick and min_observation must be positive");
-  directives_.apply_mappings();
-  // Built after apply_mappings(): the index snapshots the directive
-  // strings and must see the rewritten resource names.
-  directive_index_ = DirectiveIndex(directives_);
-  directive_index_.bind(foci_, config_.hypotheses);
   sync_idx_ = view_.resources().hierarchy_index(resources::kSyncObjectHierarchy);
   scope_pids_.assign(config_.hypotheses.size(), resources::kNoPart);
   thresholds_by_hyp_.reserve(config_.hypotheses.size());
@@ -73,7 +81,7 @@ PerformanceConsultant::PerformanceConsultant(const metrics::TraceView& view, PcC
       scope_pids_[i] = foci_.part_id(static_cast<std::size_t>(sync_idx_), h.sync_scope);
     double t = h.default_threshold;
     if (config_.threshold_override > 0) t = config_.threshold_override;
-    if (auto d = directive_index_.threshold_for(h.name)) t = *d;
+    if (auto d = directive_index_.threshold_for(static_cast<int>(i))) t = *d;
     thresholds_by_hyp_.push_back(t);
   }
 }
@@ -390,7 +398,7 @@ DiagnosisResult PerformanceConsultant::run() {
   seed_high_priority_nodes();
   seed_top_level();
 
-  const double horizon = std::min(config_.max_time, view_.trace().duration);
+  const double horizon = view_.trace().duration;
   const auto wall_start = std::chrono::steady_clock::now();
   double t = 0.0;
   activate_pending(t);

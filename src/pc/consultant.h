@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -55,8 +54,6 @@ struct PcConfig {
   /// When > 0, overrides every hypothesis threshold (used for the paper's
   /// threshold sweeps). Directive thresholds still take precedence.
   double threshold_override = -1.0;
-  /// Hard stop; the search also stops when the trace ends.
-  double max_time = std::numeric_limits<double>::infinity();
   /// Wall-clock budget for one run() in seconds; <= 0 (default) means
   /// unlimited. When the budget expires the search stops at the end of the
   /// current tick and the result carries stats.deadline_hit — this is how
@@ -218,10 +215,10 @@ class PerformanceConsultant {
   resources::FocusTable& foci_;
   PcConfig config_;
   DirectiveSet directives_;
-  /// Built once from directives_ after apply_mappings(); answers the
-  /// per-candidate prune/priority/threshold queries in O(1)–O(log n)
-  /// instead of scanning the directive list (DirectiveSet remains the
-  /// property-tested oracle).
+  /// Compiled once from directives_ (already mapped); answers the
+  /// per-candidate prune/priority/threshold queries by id instead of
+  /// scanning the directive list (DirectiveSet remains the property-tested
+  /// reference).
   DirectiveIndex directive_index_;
   // Declared before instr_: the instrumentation manager (and through it the
   // batched metric engine) reports into this tracer.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pc/hypothesis.h"
-
 namespace histpc::pc {
 
 void PrefixSet::insert(std::string prefix) {
@@ -28,108 +26,38 @@ bool PrefixSet::contains_prefix_of(std::string_view name) const {
   }
 }
 
-std::string DirectiveIndex::pair_key(std::string_view hypothesis, std::string_view focus) {
-  // '\x1f' cannot appear in either token: both come from whitespace-split
-  // directive lines or canonical focus names.
-  std::string key;
-  key.reserve(hypothesis.size() + 1 + focus.size());
-  key.append(hypothesis);
-  key.push_back('\x1f');
-  key.append(focus);
-  return key;
-}
-
-std::string_view DirectiveIndex::pair_key_view(std::string_view hypothesis,
-                                               std::string_view focus) {
-  // Lookup-side twin of pair_key: the transparent hash functors let the
-  // maps probe with a string_view, so queries reuse one buffer instead of
-  // allocating a key per candidate on the consultant's hot path.
-  thread_local std::string buf;
-  buf.assign(hypothesis);
-  buf.push_back('\x1f');
-  buf.append(focus);
-  return buf;
-}
-
-DirectiveIndex::DirectiveIndex(const DirectiveSet& set) {
+DirectiveIndex::DirectiveIndex(const DirectiveSet& set, resources::FocusTable& table,
+                               const HypothesisSet& hyps)
+    : table_(&table) {
+  if (!set.prunes.empty() || !set.thresholds.empty()) by_hyp_.resize(hyps.size());
+  // The scan applies a directive to every hypothesis of its name.
+  auto for_each_hyp = [&](std::string_view name, auto&& fn) {
+    for (std::size_t i = 0; i < hyps.size(); ++i)
+      if (hyps.all()[i].name == name) fn(static_cast<int>(i));
+  };
   for (const PruneDirective& p : set.prunes) {
     if (p.hypothesis == kAnyHypothesis)
       subtree_any_.insert(p.resource_prefix);
     else
-      subtree_by_hyp_[p.hypothesis].insert(p.resource_prefix);
+      for_each_hyp(p.hypothesis, [&](int hyp) {
+        by_hyp_[static_cast<std::size_t>(hyp)].subtree.insert(p.resource_prefix);
+      });
   }
-  for (const PairPruneDirective& p : set.pair_prunes) {
-    if (p.hypothesis == kAnyHypothesis)
-      pair_prunes_any_.insert(p.focus);
-    else
-      pair_prunes_.insert(pair_key(p.hypothesis, p.focus));
-  }
-  for (const PriorityDirective& p : set.priorities)
-    priorities_.emplace(pair_key(p.hypothesis, p.focus), p.priority);
-  for (const ThresholdDirective& t : set.thresholds) {
-    thresholds_.emplace(t.hypothesis, t.threshold);
-    if (t.hypothesis == kAnyHypothesis) threshold_any_ = t.threshold;
-  }
-}
-
-DirectiveSet::PruneKind DirectiveIndex::prune_match(std::string_view hypothesis,
-                                                    const resources::Focus& focus) const {
-  const PrefixSet* hyp_bucket = nullptr;
-  if (!subtree_by_hyp_.empty()) {
-    auto it = subtree_by_hyp_.find(hypothesis);
-    if (it != subtree_by_hyp_.end()) hyp_bucket = &it->second;
-  }
-  if (!subtree_any_.empty() || hyp_bucket) {
-    for (const std::string& part : focus.parts()) {
-      if (!is_constrained_part(part)) continue;  // a root part is never pruned
-      if (subtree_any_.contains_prefix_of(part)) return DirectiveSet::PruneKind::Subtree;
-      if (hyp_bucket && hyp_bucket->contains_prefix_of(part))
-        return DirectiveSet::PruneKind::Subtree;
-    }
-  }
-  if (!pair_prunes_.empty() || !pair_prunes_any_.empty()) {
-    const std::string name = focus.name();
-    if (pair_prunes_any_.find(name) != pair_prunes_any_.end())
-      return DirectiveSet::PruneKind::Pair;
-    if (!pair_prunes_.empty() &&
-        pair_prunes_.find(pair_key_view(hypothesis, name)) != pair_prunes_.end())
-      return DirectiveSet::PruneKind::Pair;
-  }
-  return DirectiveSet::PruneKind::None;
-}
-
-Priority DirectiveIndex::priority_of(std::string_view hypothesis,
-                                     std::string_view focus_name) const {
-  if (priorities_.empty()) return Priority::Medium;
-  auto it = priorities_.find(pair_key_view(hypothesis, focus_name));
-  return it == priorities_.end() ? Priority::Medium : it->second;
-}
-
-std::optional<double> DirectiveIndex::threshold_for(std::string_view hypothesis) const {
-  if (auto it = thresholds_.find(hypothesis); it != thresholds_.end()) return it->second;
-  return threshold_any_;
-}
-
-void DirectiveIndex::bind(resources::FocusTable& table, const HypothesisSet& hyps) {
-  table_ = &table;
-  const std::size_t nh = table.num_hierarchies();
-
-  hyp_names_.clear();
-  for (const Hypothesis& h : hyps.all()) hyp_names_.push_back(h.name);
 
   // Subtree prunes -> per-hierarchy coverage bitmaps. covered[rid] is the
-  // oracle's per-part test evaluated once per resource: every non-root
-  // full name is a constrained part, and contains_prefix_of already walks
-  // the ancestor truncations. Roots stay 0 (never pruned).
-  auto build_cover = [&](const PrefixSet& set) {
+  // scan's per-part test evaluated once per resource: every non-root full
+  // name is a constrained part, and contains_prefix_of already walks the
+  // ancestor truncations. Roots stay 0 (never pruned).
+  const std::size_t nh = table.num_hierarchies();
+  auto build_cover = [&](const PrefixSet& prefixes) {
     std::vector<std::vector<std::uint8_t>> cover;
-    if (set.empty()) return cover;
+    if (prefixes.empty()) return cover;
     cover.resize(nh);
     for (std::size_t h = 0; h < nh; ++h) {
       const resources::ResourceHierarchy& tree = table.hierarchy(h);
       cover[h].assign(tree.size(), 0);
       for (std::size_t rid = 1; rid < tree.size(); ++rid)
-        cover[h][rid] = set.contains_prefix_of(
+        cover[h][rid] = prefixes.contains_prefix_of(
                             tree.node(static_cast<resources::ResourceId>(rid)).full_name)
                             ? 1
                             : 0;
@@ -137,87 +65,73 @@ void DirectiveIndex::bind(resources::FocusTable& table, const HypothesisSet& hyp
     return cover;
   };
   any_cover_ = build_cover(subtree_any_);
-  hyp_cover_.assign(hyps.size(), {});
-  for (std::size_t i = 0; i < hyps.size(); ++i)
-    if (auto it = subtree_by_hyp_.find(hyp_names_[i]); it != subtree_by_hyp_.end())
-      hyp_cover_[i] = build_cover(it->second);
+  for (std::size_t i = 0; i < by_hyp_.size(); ++i) {
+    by_hyp_[i].cover = build_cover(by_hyp_[i].subtree);
+    by_hyp_[i].threshold = set.threshold_for(hyps.all()[i].name);
+  }
 
   // A directive focus string matches a real focus's canonical name iff it
   // parses (with resource validation) and re-canonicalizes to itself —
   // name() is injective, so anything else can never equal a real node's
-  // name and is dropped from the id maps (the string maps keep it for the
-  // oracle and for load-time text queries).
+  // name and is dropped.
   auto canonical_id = [&](std::string_view focus) -> std::optional<resources::FocusId> {
     auto fid = table.parse(focus);
     if (!fid) return std::nullopt;
     if (table.to_focus(*fid).name() != focus) return std::nullopt;
     return fid;
   };
-  auto split_pair_key = [](std::string_view key) {
-    const auto sep = key.find('\x1f');
-    return std::make_pair(key.substr(0, sep), key.substr(sep + 1));
-  };
-
-  id_pair_prunes_.clear();
-  id_pair_prunes_any_.clear();
-  for (const std::string& focus : pair_prunes_any_)
-    if (auto fid = canonical_id(focus)) id_pair_prunes_any_.insert(*fid);
-  for (const std::string& key : pair_prunes_) {
-    auto [hyp_name, focus] = split_pair_key(key);
-    auto hyp = hyps.index_of(hyp_name);
-    if (!hyp) continue;
-    if (auto fid = canonical_id(focus)) id_pair_prunes_.insert(id_pair_key(*hyp, *fid));
+  for (const PairPruneDirective& p : set.pair_prunes) {
+    if (p.hypothesis == kAnyHypothesis) {
+      if (auto fid = canonical_id(p.focus)) pair_prunes_any_.insert(*fid);
+      continue;
+    }
+    for_each_hyp(p.hypothesis, [&](int hyp) {
+      if (auto fid = canonical_id(p.focus)) pair_prunes_.insert(pair_id(hyp, *fid));
+    });
   }
-  id_priorities_.clear();
-  for (const auto& [key, priority] : priorities_) {
-    auto [hyp_name, focus] = split_pair_key(key);
-    auto hyp = hyps.index_of(hyp_name);
-    if (!hyp) continue;
-    if (auto fid = canonical_id(focus))
-      id_priorities_.emplace(id_pair_key(*hyp, *fid), priority);
-  }
-
-  threshold_by_hyp_.clear();
-  for (const std::string& name : hyp_names_)
-    threshold_by_hyp_.push_back(threshold_for(name));
+  for (const PriorityDirective& p : set.priorities)
+    for_each_hyp(p.hypothesis, [&](int hyp) {
+      if (auto fid = canonical_id(p.focus)) priorities_.emplace(pair_id(hyp, *fid), p.priority);
+    });
 }
 
 DirectiveSet::PruneKind DirectiveIndex::prune_match(int hyp,
                                                     resources::FocusId focus) const {
-  const auto& hyp_cov = hyp_cover_.at(static_cast<std::size_t>(hyp));
-  if (!any_cover_.empty() || !hyp_cov.empty()) {
-    for (std::size_t h = 0; h < table_->num_hierarchies(); ++h) {
-      const resources::PartId pid = table_->part(focus, h);
-      if (pid == 0) continue;  // a root part is never pruned
-      const resources::ResourceId rid = resources::FocusTable::part_resource(pid);
-      if (rid == resources::kNoResource) {
-        // Foreign part: fall back to the oracle's string test.
-        const std::string& pname = table_->part_name(h, pid);
-        if (!is_constrained_part(pname)) continue;
-        if (subtree_any_.contains_prefix_of(pname)) return DirectiveSet::PruneKind::Subtree;
-        if (auto it = subtree_by_hyp_.find(hyp_names_.at(static_cast<std::size_t>(hyp)));
-            it != subtree_by_hyp_.end() && it->second.contains_prefix_of(pname))
-          return DirectiveSet::PruneKind::Subtree;
-        continue;
-      }
-      const auto urid = static_cast<std::size_t>(rid);
-      if (!any_cover_.empty() && any_cover_[h][urid]) return DirectiveSet::PruneKind::Subtree;
-      if (!hyp_cov.empty() && hyp_cov[h][urid]) return DirectiveSet::PruneKind::Subtree;
-    }
-  }
-  if (!id_pair_prunes_any_.empty() &&
-      id_pair_prunes_any_.find(focus) != id_pair_prunes_any_.end())
+  // by_hyp_ is empty only when the set has no subtree prunes at all.
+  if (!by_hyp_.empty() && subtree_pruned(by_hyp_.at(static_cast<std::size_t>(hyp)), focus))
+    return DirectiveSet::PruneKind::Subtree;
+  if (!pair_prunes_any_.empty() && pair_prunes_any_.find(focus) != pair_prunes_any_.end())
     return DirectiveSet::PruneKind::Pair;
-  if (!id_pair_prunes_.empty() &&
-      id_pair_prunes_.find(id_pair_key(hyp, focus)) != id_pair_prunes_.end())
+  if (!pair_prunes_.empty() && pair_prunes_.find(pair_id(hyp, focus)) != pair_prunes_.end())
     return DirectiveSet::PruneKind::Pair;
   return DirectiveSet::PruneKind::None;
 }
 
+bool DirectiveIndex::subtree_pruned(const PerHypothesis& own, resources::FocusId focus) const {
+  if (any_cover_.empty() && own.cover.empty()) return false;
+  for (std::size_t h = 0; h < table_->num_hierarchies(); ++h) {
+    const resources::PartId pid = table_->part(focus, h);
+    if (pid == 0) continue;  // a root part is never pruned
+    const resources::ResourceId rid = resources::FocusTable::part_resource(pid);
+    if (rid == resources::kNoResource) {
+      // Foreign part: fall back to the scan's string test.
+      const std::string& pname = table_->part_name(h, pid);
+      if (is_constrained_part(pname) && (subtree_any_.contains_prefix_of(pname) ||
+                                         own.subtree.contains_prefix_of(pname)))
+        return true;
+      continue;
+    }
+    const auto urid = static_cast<std::size_t>(rid);
+    if (!any_cover_.empty() && any_cover_[h][urid]) return true;
+    if (!own.cover.empty() && own.cover[h][urid]) return true;
+  }
+  return false;
+}
+
 Priority DirectiveIndex::priority_of(int hyp, resources::FocusId focus) const {
-  if (id_priorities_.empty()) return Priority::Medium;
-  auto it = id_priorities_.find(id_pair_key(hyp, focus));
-  return it == id_priorities_.end() ? Priority::Medium : it->second;
+  if (priorities_.empty()) return Priority::Medium;
+  auto it = priorities_.find(pair_id(hyp, focus));
+  return it == priorities_.end() ? Priority::Medium : it->second;
 }
 
 }  // namespace histpc::pc

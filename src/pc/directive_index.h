@@ -1,21 +1,24 @@
-// DirectiveIndex: O(1)–O(log n) lookup structures over a DirectiveSet.
+// DirectiveIndex: the directive lookups of the search, compiled to ids.
 //
 // The (hypothesis : focus) directive lookup sits on the Performance
 // Consultant's innermost refinement loop: every candidate produced by
 // refine() is checked against the prune directives and assigned a queue
-// priority, and every conclusion reads a threshold. The DirectiveSet scan
-// methods walk the full directive list per call, which on harvested sets
-// (hundreds to thousands of table1/table3-style directives) costs more
-// than the batched metric evaluation they gate. The index is built once —
-// the consultant constructs it right after apply_mappings() — and answers
-// the same three queries from hash maps and sorted prefix arrays.
+// priority, and every conclusion reads a threshold. The consultant compiles
+// its DirectiveSet once, right after apply_mappings(), against the view's
+// FocusTable and the search's hypotheses, and then queries by
+// (hypothesis index, FocusId) with no string work:
+//  * subtree prunes become per-hierarchy coverage bitmaps over ResourceIds
+//    (covered iff some prefix is a path-prefix of the resource's full
+//    name; roots forced out, as a root part is never pruned);
+//  * pair prunes and priorities become id-keyed hash maps;
+//  * thresholds are read once per hypothesis.
 //
-// The DirectiveSet scans survive unchanged as the property-tested oracle
-// (tests/directive_index_test.cpp), mirroring the metric engine's
-// scan-vs-index pattern: for every (hypothesis, focus) query the index
-// returns exactly what the scan returns, including its tie-breaking rules
-// (first matching priority wins; first exact threshold wins, last wildcard
-// is the fallback).
+// The DirectiveSet scans stay the property-tested reference
+// (tests/directive_index_test.cpp): every id lookup returns what the scan
+// returns for the hypothesis name and the focus's canonical name,
+// including its tie-breaking rules (subtree before pair; first matching
+// priority wins; first exact threshold wins, last wildcard is the
+// fallback).
 #pragma once
 
 #include <cstdint>
@@ -53,116 +56,60 @@ class PrefixSet {
   std::vector<std::string> sorted_;
 };
 
-namespace detail {
-/// Transparent hashing so queries take string_views without materializing
-/// std::string keys.
-struct StringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct StringEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const { return a == b; }
-};
-}  // namespace detail
-
 class DirectiveIndex {
  public:
-  DirectiveIndex() = default;
+  /// Compiles `set` against `table` and `hyps`. The index copies what it
+  /// needs from `set` and does NOT see later mutations: build it after
+  /// apply_mappings(). The table pointer is retained and must outlive the
+  /// index. Directives naming a hypothesis outside `hyps` are dropped, and
+  /// so are pair prunes and priorities whose focus does not parse against
+  /// the db's resources or does not re-canonicalize to itself: canonical
+  /// names are injective, so no focus built from the db's resources can
+  /// carry that name.
+  DirectiveIndex(const DirectiveSet& set, resources::FocusTable& table,
+                 const HypothesisSet& hyps);
 
-  /// Builds the index over `set`. The index holds copies of the directive
-  /// strings, not references: it stays valid if `set` is destroyed, but it
-  /// does NOT see later mutations — rebuild after changing the set (the
-  /// consultant builds it once, after apply_mappings()).
-  explicit DirectiveIndex(const DirectiveSet& set);
-
-  /// Same contract and result as DirectiveSet::prune_match.
-  DirectiveSet::PruneKind prune_match(std::string_view hypothesis,
-                                      const resources::Focus& focus) const;
-
-  bool is_pruned(std::string_view hypothesis, const resources::Focus& focus) const {
-    return prune_match(hypothesis, focus) != DirectiveSet::PruneKind::None;
-  }
-
-  /// Same contract and result as DirectiveSet::priority_of.
-  Priority priority_of(std::string_view hypothesis, std::string_view focus_name) const;
-
-  /// Same contract and result as DirectiveSet::threshold_for.
-  std::optional<double> threshold_for(std::string_view hypothesis) const;
-
-  /// Compile the directive strings against a focus table so the interned
-  /// search can query by (hypothesis index, FocusId) with no string work:
-  ///  * subtree prunes become per-hierarchy coverage bitmaps over
-  ///    ResourceIds (covered iff contains_prefix_of(full_name), roots
-  ///    forced out — a root part is never pruned);
-  ///  * pair prunes and priorities become id-keyed maps. A directive focus
-  ///    string matches a real focus iff it parses and re-canonicalizes to
-  ///    itself (canonical names are injective), so non-canonical or
-  ///    unresolvable entries are provably unmatchable and dropped.
-  /// The table pointer is retained; it must outlive the index. Load-time
-  /// directive text keeps using the string_view lookups above.
-  void bind(resources::FocusTable& table, const HypothesisSet& hyps);
-  bool bound() const { return table_ != nullptr; }
-
-  /// Id twins of prune_match / is_pruned / priority_of / threshold_for;
-  /// valid after bind(). Same results as the string lookups on the
-  /// corresponding hypothesis name and canonical focus name.
+  /// Same results as DirectiveSet::prune_match / priority_of /
+  /// threshold_for on the hypothesis's name and the focus's canonical name.
   DirectiveSet::PruneKind prune_match(int hyp, resources::FocusId focus) const;
   bool is_pruned(int hyp, resources::FocusId focus) const {
     return prune_match(hyp, focus) != DirectiveSet::PruneKind::None;
   }
   Priority priority_of(int hyp, resources::FocusId focus) const;
   std::optional<double> threshold_for(int hyp) const {
-    return threshold_by_hyp_.at(static_cast<std::size_t>(hyp));
+    if (by_hyp_.empty()) return std::nullopt;
+    return by_hyp_.at(static_cast<std::size_t>(hyp)).threshold;
   }
 
  private:
-  static std::uint64_t id_pair_key(int hyp, resources::FocusId focus) {
+  /// What the index holds for one hypothesis.
+  struct PerHypothesis {
+    /// Its subtree prunes. Kept for foreign parts, which have no
+    /// ResourceId and so no bit in `cover`.
+    PrefixSet subtree;
+    /// cover[hier][rid]: rid lies under one of its subtree prunes (roots
+    /// always 0); empty when it has none.
+    std::vector<std::vector<std::uint8_t>> cover;
+    std::optional<double> threshold;
+  };
+
+  static std::uint64_t pair_id(int hyp, resources::FocusId focus) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hyp)) << 32) |
            static_cast<std::uint32_t>(focus);
   }
-  static std::string pair_key(std::string_view hypothesis, std::string_view focus);
-  /// Allocation-free lookup key over a reused thread-local buffer; the
-  /// returned view is invalidated by the next call on the same thread.
-  static std::string_view pair_key_view(std::string_view hypothesis,
-                                        std::string_view focus);
+  bool subtree_pruned(const PerHypothesis& own, resources::FocusId focus) const;
 
-  /// Subtree prunes, bucketed by hypothesis; "*" prunes live in their own
-  /// bucket checked for every hypothesis.
-  std::unordered_map<std::string, PrefixSet, detail::StringHash, detail::StringEq>
-      subtree_by_hyp_;
+  resources::FocusTable* table_;
+  /// By hypothesis index; empty when the set has no prunes and no
+  /// thresholds, so the index of an empty set allocates nothing.
+  std::vector<PerHypothesis> by_hyp_;
+  /// The "*" subtree prunes, checked for every hypothesis, and their cover.
   PrefixSet subtree_any_;
-
-  /// Exact-pair prunes keyed on (hypothesis, focus name), with the
-  /// wildcard-hypothesis entries keyed on focus name alone.
-  std::unordered_set<std::string, detail::StringHash, detail::StringEq> pair_prunes_;
-  std::unordered_set<std::string, detail::StringHash, detail::StringEq> pair_prunes_any_;
-
-  /// First directive per (hypothesis, focus) wins, as in the scan.
-  std::unordered_map<std::string, Priority, detail::StringHash, detail::StringEq>
-      priorities_;
-
-  /// First directive per hypothesis name (including a literal "*" key)
-  /// wins; threshold_any_ is the last wildcard, the scan's fallback value.
-  std::unordered_map<std::string, double, detail::StringHash, detail::StringEq>
-      thresholds_;
-  std::optional<double> threshold_any_;
-
-  // ---- id-keyed structures, populated by bind() ----
-  resources::FocusTable* table_ = nullptr;
-  /// Hypothesis names by index (for the foreign-part oracle fallback).
-  std::vector<std::string> hyp_names_;
-  /// any_cover_[hier][rid]: rid lies under a wildcard-hypothesis subtree
-  /// prune (roots always 0). hyp_cover_[hyp] likewise per hypothesis
-  /// (empty vector = no subtree prunes for that hypothesis).
   std::vector<std::vector<std::uint8_t>> any_cover_;
-  std::vector<std::vector<std::vector<std::uint8_t>>> hyp_cover_;
-  std::unordered_set<std::uint64_t> id_pair_prunes_;
-  std::unordered_set<resources::FocusId> id_pair_prunes_any_;
-  std::unordered_map<std::uint64_t, Priority> id_priorities_;
-  std::vector<std::optional<double>> threshold_by_hyp_;
+  std::unordered_set<std::uint64_t> pair_prunes_;
+  std::unordered_set<resources::FocusId> pair_prunes_any_;
+  /// First directive per (hypothesis, focus) wins, as in the scan.
+  std::unordered_map<std::uint64_t, Priority> priorities_;
 };
 
 }  // namespace histpc::pc

@@ -156,10 +156,13 @@ void DiagnosisServer::handle_connection(int fd) {
     resp = error_response(status ? status : 400, error);
   }
   if (resp.status >= 400) ++http_errors_;
-  write_all(fd, serialize_response(resp));
-  ::close(fd);
+  // Count the request and free its admission slot before the client can
+  // see the response: a client that sends its next request on receipt
+  // must not be shed by a worker that has already finished.
   ++served_;
   in_flight_.fetch_sub(1);
+  write_all(fd, serialize_response(resp));
+  ::close(fd);
 }
 
 ServeStats DiagnosisServer::stats() const {

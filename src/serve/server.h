@@ -63,7 +63,7 @@ struct ServeConfig {
 /// Monotonic counters snapshot (stats endpoint and tests).
 struct ServeStats {
   std::uint64_t accepted = 0;     ///< connections accepted
-  std::uint64_t served = 0;       ///< responses written by workers
+  std::uint64_t served = 0;       ///< worker responses (counted before the write)
   std::uint64_t shed = 0;         ///< 429s written by the acceptor
   std::uint64_t http_errors = 0;  ///< non-2xx worker responses
   std::uint64_t diagnoses = 0;    ///< /diagnose requests completed

@@ -14,8 +14,10 @@
 //
 // Matching is FIFO per (src, dst, tag, comm) channel, which — together with
 // per-rank sequential execution — preserves MPI's non-overtaking rule.
-// Wildcard receives are not supported (the reproduced applications never
-// use them), keeping matching fully deterministic.
+// Wildcard receives (kAnySource, which the taskfarm master uses to collect
+// results) match the earliest-posted pending send addressed to the rank,
+// ties broken by the lowest source rank, so matching stays deterministic
+// (see kAnySource in ops.h).
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,7 @@
 
 #include "util/binio.h"
 #include "util/crc32c.h"
-#include "util/json.h"  // read_file / write_file
+#include "util/json.h"  // read_file
 
 namespace histpc::simmpi {
 
@@ -202,10 +202,6 @@ ExecutionTrace decode_trace_snapshot(std::string_view bytes) {
     throw SnapshotError("snapshot has " + std::to_string(cur.size - cur.off) +
                         " trailing payload bytes");
   return trace;
-}
-
-void save_trace_snapshot(const ExecutionTrace& trace, const std::string& path) {
-  util::write_file(path, encode_trace_snapshot(trace));
 }
 
 ExecutionTrace load_trace_snapshot(const std::string& path, std::size_t offset) {

@@ -54,10 +54,9 @@ std::string encode_trace_snapshot(const ExecutionTrace& trace);
 /// (ExecutionTrace::validate).
 ExecutionTrace decode_trace_snapshot(std::string_view bytes);
 
-/// File convenience wrappers (atomic write, like the JSON ones). `offset`
-/// skips a caller-owned prefix (e.g. the trace cache's key header) before
-/// decoding; a file shorter than the offset is a SnapshotError.
-void save_trace_snapshot(const ExecutionTrace& trace, const std::string& path);
+/// Load and decode a snapshot file. `offset` skips a caller-owned prefix
+/// (e.g. the trace cache's key header) before decoding; a file shorter
+/// than the offset is a SnapshotError.
 ExecutionTrace load_trace_snapshot(const std::string& path, std::size_t offset = 0);
 
 }  // namespace histpc::simmpi

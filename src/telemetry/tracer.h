@@ -26,12 +26,6 @@ class EventSink {
   virtual void record(Event&& e) = 0;
 };
 
-/// Explicit stand-in for "tracing off"; equivalent to attaching no sink.
-class NullSink final : public EventSink {
- public:
-  void record(Event&&) override {}
-};
-
 /// In-memory sink; the CLI and tests export after the run.
 class VectorSink final : public EventSink {
  public:
@@ -50,7 +44,6 @@ class Tracer {
   explicit Tracer(EventSink* sink) : sink_(sink) {}
 
   bool tracing() const { return sink_ != nullptr; }
-  void set_sink(EventSink* sink) { sink_ = sink; }
 
   void emit(Event&& e) {
     if (sink_) sink_->record(std::move(e));

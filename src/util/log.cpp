@@ -1,7 +1,6 @@
 #include "util/log.h"
 
 #include <cstdio>
-#include <set>
 
 namespace histpc::util {
 
@@ -24,21 +23,6 @@ const char* log_level_name(LogLevel level) {
     case LogLevel::Off: return "OFF";
   }
   return "?";
-}
-
-LogLevel parse_log_level(const std::string& name) {
-  if (name == "trace") return LogLevel::Trace;
-  if (name == "debug") return LogLevel::Debug;
-  if (name == "info") return LogLevel::Info;
-  if (name == "warn") return LogLevel::Warn;
-  if (name == "error") return LogLevel::Error;
-  if (name == "off") return LogLevel::Off;
-  // A mistyped level would otherwise silently change verbosity; warn once
-  // per distinct bad value.
-  static std::set<std::string> warned;
-  if (warned.insert(name).second)
-    HISTPC_LOG(Warn) << "unknown log level '" << name << "', defaulting to info";
-  return LogLevel::Info;
 }
 
 namespace detail {

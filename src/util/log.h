@@ -28,11 +28,6 @@ using LogSink = std::function<void(LogLevel, const std::string&)>;
 /// Like the level, the sink is process-wide and not synchronized.
 void set_log_sink(LogSink sink);
 
-/// Parse "trace"/"debug"/"info"/"warn"/"error"/"off". Unknown names map to
-/// Info and emit a one-time Warn line naming the bad value (once per
-/// distinct value, so a mistyped flag is reported, not spammed).
-LogLevel parse_log_level(const std::string& name);
-
 namespace detail {
 void emit(LogLevel level, const std::string& message);
 }

@@ -71,20 +71,19 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
 bool is_path_prefix(std::string_view prefix, std::string_view name) {
   if (prefix.empty()) return true;
   if (!starts_with(name, prefix)) return false;
   return name.size() == prefix.size() || name[prefix.size()] == '/';
 }
 
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  // Classic two-row dynamic program; sizes here are resource-name sized
-  // (tens of chars), so quadratic time is fine.
+double name_similarity(std::string_view a, std::string_view b) {
+  // Levenshtein distance by the classic two-row dynamic program; sizes
+  // here are resource-name sized (tens of chars), so quadratic time is
+  // fine.
   if (a.size() > b.size()) std::swap(a, b);
+  const std::size_t longest = b.size();
+  if (longest == 0) return 1.0;
   std::vector<std::size_t> prev(a.size() + 1), cur(a.size() + 1);
   for (std::size_t i = 0; i <= a.size(); ++i) prev[i] = i;
   for (std::size_t j = 1; j <= b.size(); ++j) {
@@ -95,13 +94,7 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
     }
     std::swap(prev, cur);
   }
-  return prev[a.size()];
-}
-
-double name_similarity(std::string_view a, std::string_view b) {
-  std::size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(edit_distance(a, b)) / static_cast<double>(longest);
+  return 1.0 - static_cast<double>(prev[a.size()]) / static_cast<double>(longest);
 }
 
 std::string fmt_double(double v, int prec) {

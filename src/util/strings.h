@@ -28,17 +28,14 @@ std::string join(const std::vector<std::string_view>& parts, std::string_view se
 std::string_view trim(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// True if `name` equals `prefix` or begins with `prefix` followed by '/'.
 /// This is the path-prefix test used for resource-name containment, so
 /// "/Code/a.f" prefixes "/Code/a.f/f1" but not "/Code/a.fx".
 bool is_path_prefix(std::string_view prefix, std::string_view name);
 
-/// Levenshtein edit distance; used by the similarity-based auto-mapper.
-std::size_t edit_distance(std::string_view a, std::string_view b);
-
-/// Similarity in [0,1]: 1 - dist/max_len (1.0 for two empty strings).
+/// Similarity in [0,1]: 1 - (Levenshtein distance)/max_len (1.0 for two
+/// empty strings); used by the similarity-based auto-mapper.
 double name_similarity(std::string_view a, std::string_view b);
 
 /// Format a double with `prec` digits after the decimal point.

@@ -1,7 +1,7 @@
-// DirectiveIndex vs the DirectiveSet scan oracle, plus the directive-set
-// robustness properties this PR hardens: serialize/parse round-trips,
-// line-numbered parse failures, and deterministic threshold-conflict
-// resolution in merge()/combine().
+// DirectiveIndex vs the DirectiveSet scan, plus the directive-set
+// robustness properties: serialize/parse round-trips, line-numbered parse
+// failures, and deterministic threshold-conflict resolution in
+// merge()/combine_runs().
 #include <gtest/gtest.h>
 
 #include <string>
@@ -51,6 +51,8 @@ TEST(PrefixSet, EmptyPrefixMatchesEverySlashPath) {
 
 // --------------------------------------------- randomized set construction
 
+/// Directive hypotheses: the wildcard, three of HypothesisSet::standard()'s,
+/// and one it does not have (its directives must match nothing).
 const std::vector<std::string>& hypothesis_pool() {
   static const std::vector<std::string> pool = {
       std::string(kAnyHypothesis), "CPUbound", "ExcessiveSyncWaitingTime",
@@ -62,7 +64,7 @@ const std::vector<std::string>& resource_pool() {
   static const std::vector<std::string> pool = {
       "/Code",          "/Code/a.f",    "/Code/a.f/f1", "/Code/b.f",
       "/Code/b.f/main", "/Machine/n1",  "/Process/p1",  "/SyncObject/sem",
-      "/Machine",       "/SyncObject/msgtag/42"};
+      "/Machine",       "/SyncObject/msgtag/42",        "/SyncObject"};
   return pool;
 }
 
@@ -133,42 +135,30 @@ TEST_P(DirectiveIndexFuzz, IndexAgreesWithScanOnRandomQueries) {
   util::Rng rng(GetParam());
   const resources::ResourceDb db = make_db();
   const std::vector<Focus> foci = make_focus_pool(db);
-  // Queries include every pool hypothesis (among them the literal "*") and
-  // names no directive mentions.
-  std::vector<std::string> query_hyps = hypothesis_pool();
-  query_hyps.push_back("NoSuchHypothesis");
-  // The bound (id-keyed) lookups the search uses answer for the standard
-  // hypotheses over the same pool, interned.
+  // The index answers for the standard hypotheses over the pool,
+  // interned; the scan answers for their names and canonical focus names.
+  // The queries add a focus whose SyncObject part names a resource the db
+  // lacks, as a hypothesis's implicit sync scope can: a foreign part has
+  // no ResourceId, so subtree prunes reach it through the PrefixSet
+  // fallback instead of the cover bitmaps.
   const HypothesisSet hyps = HypothesisSet::standard();
+  std::vector<Focus> queries = foci;
+  queries.push_back(Focus::whole_program(db).with_part(3, "/SyncObject/Message"));
   resources::FocusTable table(db);
   std::vector<resources::FocusId> ids;
-  for (const Focus& focus : foci) ids.push_back(table.intern(focus));
+  for (const Focus& focus : queries) ids.push_back(table.intern(focus));
 
   for (int round = 0; round < 40; ++round) {
     const DirectiveSet set = random_set(rng, foci);
-    DirectiveIndex index(set);
-    index.bind(table, hyps);
-    for (const auto& hyp : query_hyps) {
-      for (const Focus& focus : foci) {
-        EXPECT_EQ(index.prune_match(hyp, focus), set.prune_match(hyp, focus))
-            << "hyp=" << hyp << " focus=" << focus.name() << "\n"
-            << set.serialize();
-        EXPECT_EQ(index.priority_of(hyp, focus.name()), set.priority_of(hyp, focus.name()))
-            << "hyp=" << hyp << " focus=" << focus.name() << "\n"
-            << set.serialize();
-      }
-      EXPECT_EQ(index.threshold_for(hyp), set.threshold_for(hyp))
-          << "hyp=" << hyp << "\n"
-          << set.serialize();
-    }
+    const DirectiveIndex index(set, table, hyps);
     for (int h = 0; h < static_cast<int>(hyps.size()); ++h) {
       const std::string& name = hyps.at(h).name;
-      for (std::size_t f = 0; f < foci.size(); ++f) {
-        EXPECT_EQ(index.prune_match(h, ids[f]), set.prune_match(name, foci[f]))
-            << "hyp=" << name << " focus=" << foci[f].name() << "\n"
+      for (std::size_t f = 0; f < queries.size(); ++f) {
+        EXPECT_EQ(index.prune_match(h, ids[f]), set.prune_match(name, queries[f]))
+            << "hyp=" << name << " focus=" << queries[f].name() << "\n"
             << set.serialize();
-        EXPECT_EQ(index.priority_of(h, ids[f]), set.priority_of(name, foci[f].name()))
-            << "hyp=" << name << " focus=" << foci[f].name() << "\n"
+        EXPECT_EQ(index.priority_of(h, ids[f]), set.priority_of(name, queries[f].name()))
+            << "hyp=" << name << " focus=" << queries[f].name() << "\n"
             << set.serialize();
       }
       EXPECT_EQ(index.threshold_for(h), set.threshold_for(name))
@@ -182,28 +172,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DirectiveIndexFuzz, testing::Range<std::uint64_t
 
 TEST(DirectiveIndex, EmptySetMatchesScanDefaults) {
   const resources::ResourceDb db = make_db();
-  const Focus whole = Focus::whole_program(db);
+  const HypothesisSet hyps = HypothesisSet::standard();
+  resources::FocusTable table(db);
   const DirectiveSet set;
-  const DirectiveIndex index(set);
-  EXPECT_EQ(index.prune_match("CPUbound", whole), DirectiveSet::PruneKind::None);
-  EXPECT_EQ(index.priority_of("CPUbound", whole.name()), Priority::Medium);
-  EXPECT_EQ(index.threshold_for("CPUbound"), std::nullopt);
+  const DirectiveIndex index(set, table, hyps);
+  const int cpu = *hyps.index_of("CPUbound");
+  EXPECT_EQ(index.prune_match(cpu, table.whole_program()), DirectiveSet::PruneKind::None);
+  EXPECT_EQ(index.priority_of(cpu, table.whole_program()), Priority::Medium);
+  EXPECT_EQ(index.threshold_for(cpu), std::nullopt);
 }
 
 TEST(DirectiveIndex, SubtreeReportedOverPairWhenBothMatch) {
   // The scan checks subtree prunes before pair prunes; the index must
   // report the same kind for a pair covered by both.
   const resources::ResourceDb db = make_db();
+  const HypothesisSet hyps = HypothesisSet::standard();
+  resources::FocusTable table(db);
   const Focus narrowed = Focus::whole_program(db).with_part(0, "/Code/a.f/f1");
+  const resources::FocusId fid = table.intern(narrowed);
   DirectiveSet set;
   set.pair_prunes.push_back({"CPUbound", narrowed.name()});
   set.prunes.push_back({"CPUbound", "/Code/a.f"});
-  const DirectiveIndex index(set);
+  const DirectiveIndex index(set, table, hyps);
   EXPECT_EQ(set.prune_match("CPUbound", narrowed), DirectiveSet::PruneKind::Subtree);
-  EXPECT_EQ(index.prune_match("CPUbound", narrowed), DirectiveSet::PruneKind::Subtree);
-  // For another hypothesis only the wildcard-free pair prune is out of
-  // reach; nothing matches.
-  EXPECT_EQ(index.prune_match("TotalExecutionTime", narrowed),
+  EXPECT_EQ(index.prune_match(*hyps.index_of("CPUbound"), fid),
+            DirectiveSet::PruneKind::Subtree);
+  // For another hypothesis neither prune applies.
+  EXPECT_EQ(index.prune_match(*hyps.index_of("ExcessiveSyncWaitingTime"), fid),
             DirectiveSet::PruneKind::None);
 }
 
@@ -296,8 +291,8 @@ TEST(Combiner, CombineThresholdsAreOrderIndependent) {
   b.thresholds.push_back({"CPUbound", 0.40});
 
   util::set_log_sink([](util::LogLevel, const std::string&) {});
-  const DirectiveSet ab = history::combine(a, b, history::CombineMode::Union);
-  const DirectiveSet ba = history::combine(b, a, history::CombineMode::Union);
+  const DirectiveSet ab = history::combine_runs({a, b}, history::CombineMode::Union);
+  const DirectiveSet ba = history::combine_runs({b, a}, history::CombineMode::Union);
   util::set_log_sink({});
 
   EXPECT_EQ(ab.threshold_for("CPUbound"), 0.40);

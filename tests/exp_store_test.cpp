@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "history/combiner.h"
@@ -402,7 +403,9 @@ DirectiveSet directives_for(std::initializer_list<std::pair<const char*, Priorit
 
 TEST(CombineRunsTest, NEqualsTwoMatchesPairwiseCombine) {
   // Pairs high/low/mixed/one-sided, plus prunes, thresholds and maps on
-  // both sides — every field combine() touches.
+  // both sides — every field the paper's pairwise A ∩ B / A ∪ B touches.
+  // The expected sets are the pairwise results for these inputs, written
+  // out, so N = 2 stays pinned to the paper's operators.
   DirectiveSet a = directives_for({{"<f1>", Priority::High},
                                    {"<f2>", Priority::Low},
                                    {"<f3>", Priority::High},
@@ -420,10 +423,44 @@ TEST(CombineRunsTest, NEqualsTwoMatchesPairwiseCombine) {
   b.thresholds = {{"CPUbound", 0.25}};
   b.maps = {{"/Code/a.f", "/Code/b.f"}};
 
-  for (CombineMode mode : {CombineMode::Intersection, CombineMode::Union}) {
-    expect_same_directives(combine_runs({a, b}, mode), combine(a, b, mode));
-    expect_same_directives(combine_runs({b, a}, mode), combine(b, a, mode));
-  }
+  DirectiveSet inter;
+  inter.prunes = {{"*", "/SyncObject"}, {"CPUbound", "/Code/init.f"}, {"IObound", "/Code"}};
+  inter.thresholds = {{"CPUbound", 0.25}, {"*", 0.15}};  // conflict resolved to the max
+  inter.maps = {{"/Code/oned.f", "/Code/onednb.f"}, {"/Code/a.f", "/Code/b.f"}};
+  inter.priorities = {{"CPUbound", "<f1>", Priority::High}};  // pair prunes dropped
+  DirectiveSet uni = inter;
+  uni.priorities = {{"CPUbound", "<f1>", Priority::High},
+                    {"CPUbound", "<f2>", Priority::High},
+                    {"CPUbound", "<f3>", Priority::High},
+                    {"CPUbound", "<f4>", Priority::Low},
+                    {"CPUbound", "<f5>", Priority::High}};
+
+  util::set_log_sink([](util::LogLevel, const std::string&) {});  // threshold conflict
+  expect_same_directives(combine_runs({a, b}, CombineMode::Intersection), inter);
+  expect_same_directives(combine_runs({a, b}, CombineMode::Union), uni);
+  // Swapping the inputs changes only the order of the maps.
+  std::swap(inter.maps[0], inter.maps[1]);
+  std::swap(uni.maps[0], uni.maps[1]);
+  expect_same_directives(combine_runs({b, a}, CombineMode::Intersection), inter);
+  expect_same_directives(combine_runs({b, a}, CombineMode::Union), uni);
+  util::set_log_sink({});
+}
+
+TEST(CombineRunsTest, ARunListingAPairTwiceVotesOnce) {
+  // Run A names <f1> High twice and <f2> Low twice; run B names neither.
+  // Intersection needs every run, so neither pair survives; union keeps
+  // each at its level, once.
+  const DirectiveSet a = directives_for({{"<f1>", Priority::High},
+                                         {"<f1>", Priority::High},
+                                         {"<f2>", Priority::Low},
+                                         {"<f2>", Priority::Low}});
+  const DirectiveSet b;
+  EXPECT_TRUE(combine_runs({a, b}, CombineMode::Intersection).priorities.empty());
+  EXPECT_TRUE(combine_runs({b, a}, CombineMode::Intersection).priorities.empty());
+  const DirectiveSet uni = combine_runs({a, b}, CombineMode::Union);
+  ASSERT_EQ(uni.priorities.size(), 2u);
+  EXPECT_EQ(uni.priorities[0].priority, Priority::High);
+  EXPECT_EQ(uni.priorities[1].priority, Priority::Low);
 }
 
 TEST(CombineRunsTest, IntersectionRequiresAllRunsUnionAnyRun) {

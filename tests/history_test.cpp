@@ -414,7 +414,7 @@ TEST(Combiner, IntersectionRequiresAgreement) {
   DirectiveSet b = priorities_only({{"H", "<f1>", Priority::High},
                                     {"H", "<f2>", Priority::Low},
                                     {"H", "<f3>", Priority::Low}});
-  DirectiveSet c = combine(a, b, CombineMode::Intersection);
+  DirectiveSet c = combine_runs({a, b}, CombineMode::Intersection);
   EXPECT_EQ(c.priority_of("H", "<f1>"), Priority::High);
   EXPECT_EQ(c.priority_of("H", "<f2>"), Priority::Medium);  // disagreement
   EXPECT_EQ(c.priority_of("H", "<f3>"), Priority::Low);
@@ -425,7 +425,7 @@ TEST(Combiner, UnionHighWinsOverLow) {
                                     {"H", "<f2>", Priority::Low}});
   DirectiveSet b = priorities_only({{"H", "<f2>", Priority::High},
                                     {"H", "<f3>", Priority::Low}});
-  DirectiveSet c = combine(a, b, CombineMode::Union);
+  DirectiveSet c = combine_runs({a, b}, CombineMode::Union);
   EXPECT_EQ(c.priority_of("H", "<f1>"), Priority::High);
   EXPECT_EQ(c.priority_of("H", "<f2>"), Priority::High);  // true in either wins
   EXPECT_EQ(c.priority_of("H", "<f3>"), Priority::Low);
@@ -438,8 +438,8 @@ TEST(Combiner, UnionIsASupersetOfIntersection) {
   DirectiveSet b = priorities_only({{"H", "<f1>", Priority::High},
                                     {"H", "<f3>", Priority::High},
                                     {"H", "<f4>", Priority::Low}});
-  DirectiveSet inter = combine(a, b, CombineMode::Intersection);
-  DirectiveSet uni = combine(a, b, CombineMode::Union);
+  DirectiveSet inter = combine_runs({a, b}, CombineMode::Intersection);
+  DirectiveSet uni = combine_runs({a, b}, CombineMode::Union);
   EXPECT_GE(uni.priorities.size(), inter.priorities.size());
   for (const auto& p : inter.priorities) {
     if (p.priority != Priority::High) continue;
@@ -452,7 +452,7 @@ TEST(Combiner, DedupsPrunesAndConcatenatesMaps) {
   a.prunes.push_back({"*", "/Machine"});
   b.prunes.push_back({"*", "/Machine"});
   a.maps.push_back({"/Machine/a", "/Machine/b"});
-  DirectiveSet c = combine(a, b, CombineMode::Union);
+  DirectiveSet c = combine_runs({a, b}, CombineMode::Union);
   EXPECT_EQ(c.prunes.size(), 1u);
   EXPECT_EQ(c.maps.size(), 1u);
 }

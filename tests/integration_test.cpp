@@ -183,7 +183,7 @@ TEST(Integration, CombinedDirectivesFromTwoVersionsWork) {
   db.apply_mappings();
 
   for (auto mode : {history::CombineMode::Intersection, history::CombineMode::Union}) {
-    DirectiveSet combined = history::combine(da, db, mode);
+    DirectiveSet combined = history::combine_runs({da, db}, mode);
     core::DiagnosisSession run("poisson_c", short_run());
     const DiagnosisResult r = run.diagnose(combined);
     EXPECT_GT(r.stats.bottlenecks, 0u);
