@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build the release and asan-ubsan presets and run
 # the test suite under both. The sanitizer run catches out-of-bounds reads
-# and UB in the trace decoders, the view's whole-run totals and block
-# summaries, and the concurrent paths (variant runner, serve workers) that share one TraceView;
-# the golden diagnoses must match in both builds.
+# and UB in the trace decoders, the view's whole-run totals, and the
+# concurrent paths (variant runner, serve workers) that share one
+# TraceView; the golden diagnoses must match in both builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -192,13 +192,7 @@ int cmd_run(const Args& args, std::ostream& out) {
     result = session.diagnose(directives);
     if (args.has_flag("shg")) out << "\n" << session.last_shg() << "\n";
     if (auto dot = args.option("dot")) {
-      // Re-run is avoided: the session retains the last SHG only as text;
-      // produce DOT from a dedicated consultant run for exact structure.
-      pc::PcConfig dot_config = config;
-      dot_config.trace_sink = nullptr;  // don't record the re-run twice
-      pc::PerformanceConsultant consultant(session.view(), dot_config, directives);
-      consultant.run();
-      util::write_file(*dot, consultant.shg().to_dot());
+      util::write_file(*dot, session.last_graph()->to_dot());
       out << "wrote " << *dot << "\n";
     }
   }

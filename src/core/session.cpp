@@ -70,7 +70,6 @@ pc::DiagnosisResult DiagnosisSession::diagnose(const pc::DirectiveSet& directive
   const double lap =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   registry_.add_seconds("session.diagnose", lap);
-  last_shg_ = consultant.shg().render();
   // phase_seconds stays per diagnosis: the consultant filled the pc.*
   // entries from its own registry; add the session's one-time construction
   // timers and this call's lap, never the registry's running totals.
@@ -81,6 +80,7 @@ pc::DiagnosisResult DiagnosisSession::diagnose(const pc::DirectiveSet& directive
   // histograms) into the session's, so registry() — and any PerfRecord
   // made from it — covers the whole run, not just the session phases.
   registry_.merge_from(consultant.tracer().registry());
+  last_graph_.emplace(std::move(consultant).take_shg());
   return result;
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "apps/apps.h"
@@ -53,8 +54,14 @@ class DiagnosisSession {
   /// independent online search (fresh instrumentation).
   pc::DiagnosisResult diagnose(const pc::DirectiveSet& directives = {});
 
-  /// Figure 2-style rendering of the most recent diagnosis's SHG.
-  const std::string& last_shg() const { return last_shg_; }
+  /// Figure 2-style rendering of the most recent diagnosis's SHG, made on
+  /// each call; empty before the first diagnosis.
+  std::string last_shg() const { return last_graph_ ? last_graph_->render() : std::string(); }
+  /// The most recent diagnosis's SHG (for last_shg() and DOT export);
+  /// nullptr before the first diagnosis.
+  const pc::SearchHistoryGraph* last_graph() const {
+    return last_graph_ ? &*last_graph_ : nullptr;
+  }
 
   /// Session-level wall-clock telemetry: "session.view_build" and
   /// "session.diagnose" timers, plus the path the trace took. Without a
@@ -88,7 +95,9 @@ class DiagnosisSession {
   std::unique_ptr<simmpi::ExecutionTrace> trace_;
   std::unique_ptr<metrics::TraceView> view_;
   pc::PcConfig config_;
-  std::string last_shg_;
+  /// Only the graph outlives a diagnosis: the consultant, its probes and
+  /// its metric engine go with it.
+  std::optional<pc::SearchHistoryGraph> last_graph_;
 };
 
 }  // namespace histpc::core

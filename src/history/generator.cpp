@@ -40,7 +40,7 @@ void DirectiveGenerator::add_historic_prunes(const ExperimentRecord& record,
   }
 }
 
-void DirectiveGenerator::add_thresholds(const std::vector<const ExperimentRecord*>& records,
+void DirectiveGenerator::add_thresholds(std::span<const ExperimentRecord* const> records,
                                         const HypothesisSet& hyps, DirectiveSet& out) const {
   // For each hypothesis, find the smallest historically significant
   // fraction among concluded pairs and set the threshold just below it, so
@@ -66,24 +66,33 @@ void DirectiveGenerator::add_thresholds(const std::vector<const ExperimentRecord
 
 pc::DirectiveSet DirectiveGenerator::from_record(const ExperimentRecord& record,
                                                  const HypothesisSet& hyps) const {
-  return from_records({record}, hyps);
+  const ExperimentRecord* one = &record;
+  return harvest({&one, 1}, hyps);
 }
 
 pc::DirectiveSet DirectiveGenerator::from_records(const std::vector<ExperimentRecord>& records,
                                                   const HypothesisSet& hyps) const {
+  std::vector<const ExperimentRecord*> ptrs;
+  ptrs.reserve(records.size());
+  for (const auto& r : records) ptrs.push_back(&r);
+  return harvest(ptrs, hyps);
+}
+
+pc::DirectiveSet DirectiveGenerator::harvest(std::span<const ExperimentRecord* const> records,
+                                             const HypothesisSet& hyps) const {
   DirectiveSet out;
   if (records.empty()) return out;
 
-  if (options_.general_prunes) add_general_prunes(records.front(), hyps, out);
+  if (options_.general_prunes) add_general_prunes(*records.front(), hyps, out);
   if (options_.historic_prunes)
-    for (const auto& rec : records) add_historic_prunes(rec, out);
+    for (const ExperimentRecord* rec : records) add_historic_prunes(*rec, out);
 
   if (options_.priorities || options_.false_pair_prunes) {
     // Pair -> (ever true, ever false). High beats low when runs disagree:
     // a pair that was ever a bottleneck deserves immediate attention.
     std::map<std::pair<std::string, std::string>, std::pair<bool, bool>> outcomes;
-    for (const auto& rec : records) {
-      for (const auto& n : rec.nodes) {
+    for (const ExperimentRecord* rec : records) {
+      for (const auto& n : rec->nodes) {
         auto& o = outcomes[{n.hypothesis, n.focus}];
         if (n.status == pc::NodeStatus::True) o.first = true;
         if (n.status == pc::NodeStatus::False) o.second = true;
@@ -101,12 +110,7 @@ pc::DirectiveSet DirectiveGenerator::from_records(const std::vector<ExperimentRe
     }
   }
 
-  if (options_.thresholds) {
-    std::vector<const ExperimentRecord*> ptrs;
-    ptrs.reserve(records.size());
-    for (const auto& r : records) ptrs.push_back(&r);
-    add_thresholds(ptrs, hyps, out);
-  }
+  if (options_.thresholds) add_thresholds(records, hyps, out);
 
   // Dedup prunes accumulated across records.
   std::sort(out.prunes.begin(), out.prunes.end(),

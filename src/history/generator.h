@@ -14,6 +14,7 @@
 //    significant region, with a safety margin.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "history/combiner.h"
@@ -75,8 +76,12 @@ class DirectiveGenerator {
   void add_general_prunes(const ExperimentRecord& record, const pc::HypothesisSet& hyps,
                           pc::DirectiveSet& out) const;
   void add_historic_prunes(const ExperimentRecord& record, pc::DirectiveSet& out) const;
-  void add_thresholds(const std::vector<const ExperimentRecord*>& records,
+  void add_thresholds(std::span<const ExperimentRecord* const> records,
                       const pc::HypothesisSet& hyps, pc::DirectiveSet& out) const;
+  /// The one harvest path: from_record and from_records both land here,
+  /// so neither copies a record.
+  pc::DirectiveSet harvest(std::span<const ExperimentRecord* const> records,
+                           const pc::HypothesisSet& hyps) const;
 
   GeneratorOptions options_;
 };

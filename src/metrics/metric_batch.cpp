@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "metrics/block_index.h"
-
 namespace histpc::metrics {
 
 using simmpi::Interval;
@@ -46,52 +44,11 @@ void MetricBatch::rebuild_rank_slots() {
   rank_slots_dirty_ = false;
 }
 
-void MetricBatch::process_rank(std::size_t r, double to, BlockCounters& counters) {
+void MetricBatch::process_rank(std::size_t r, double to) {
   const auto& ivs = view_.trace().ranks[r].intervals;
   const std::vector<SlotId>& fanout = rank_slots_[r];
-  const BlockIndex& blocks = view_.blocks();
-  const int rank = static_cast<int>(r);
   std::size_t pos = rank_pos_[r];
   while (pos < ivs.size() && ivs[pos].t0 < to) {
-    // Block fast path: when the block holding `pos` ends inside this tick,
-    // every remaining interval in it is fully consumable, and the block
-    // summary can prove whole slots contribution-free for all of them
-    // (block_may_contribute is monotone over subsets). Slots it disproves
-    // leave the block's fan-out; if none survive, jump the block without
-    // touching its intervals. Only exactly-zero contributions are elided —
-    // a zero-duration interval clips to hi <= lo and a summary reject
-    // means matches() is false or the clip is empty for every interval —
-    // so slot values stay bit-identical to the plain walk.
-    const std::size_t b = pos / BlockIndex::kBlockSize;
-    const double block_max_t1 = blocks.block_max_t1(rank, b);
-    if (block_max_t1 <= to) {
-      ++counters.considered;
-      scratch_.clear();
-      for (SlotId sid : fanout) {
-        const Slot& s = slots_[static_cast<std::size_t>(sid)];
-        if (s.start < block_max_t1 &&
-            blocks.block_may_contribute(rank, b, *s.filter, s.metric))
-          scratch_.push_back(sid);
-      }
-      const std::size_t bend = blocks.block_end(rank, b);
-      if (scratch_.empty()) {
-        ++counters.skipped;
-        pos = bend;
-        continue;
-      }
-      for (; pos < bend; ++pos) {
-        const Interval& iv = ivs[pos];
-        for (SlotId sid : scratch_) {
-          Slot& s = slots_[static_cast<std::size_t>(sid)];
-          if (!s.filter->matches(iv, s.metric)) continue;
-          const double lo = std::max({iv.t0, cursor_, s.start});
-          const double hi = std::min(iv.t1, to);
-          if (hi > lo) s.value += hi - lo;
-        }
-      }
-      continue;
-    }
-    // Boundary block (extends past `to`): the original per-interval walk.
     const Interval& iv = ivs[pos];
     for (SlotId sid : fanout) {
       Slot& s = slots_[static_cast<std::size_t>(sid)];
@@ -117,16 +74,13 @@ void MetricBatch::advance_all(double to) {
   std::size_t consumed_before = 0;
   if (registry_)
     for (std::size_t p : rank_pos_) consumed_before += p;
-  BlockCounters bc;
-  for (std::size_t r = 0; r < rank_pos_.size(); ++r) process_rank(r, to, bc);
+  for (std::size_t r = 0; r < rank_pos_.size(); ++r) process_rank(r, to);
   cursor_ = to;
   if (registry_) {
     std::size_t consumed_after = 0;
     for (std::size_t p : rank_pos_) consumed_after += p;
     registry_->add("metrics.batch.ticks");
     registry_->add("metrics.batch.intervals", consumed_after - consumed_before);
-    registry_->add("metrics.batch.blocks_considered", bc.considered);
-    registry_->add("metrics.batch.blocks_skipped", bc.skipped);
   }
 }
 

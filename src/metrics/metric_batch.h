@@ -28,8 +28,7 @@ class MetricBatch {
   using SlotId = std::int32_t;
 
   /// `registry`, when given, receives per-tick evaluation counters
-  /// ("metrics.batch.ticks", "metrics.batch.intervals", and the block-skip
-  /// pair "metrics.batch.blocks_considered" / "metrics.batch.blocks_skipped").
+  /// ("metrics.batch.ticks" and "metrics.batch.intervals").
   explicit MetricBatch(const TraceView& view, telemetry::Registry* registry = nullptr);
 
   /// Register a metric-focus pair observing data from `start_time` on.
@@ -60,21 +59,10 @@ class MetricBatch {
     bool active = false;
   };
 
-  /// Block-skip telemetry for one advance: blocks whose summaries were
-  /// consulted, and how many were jumped over entirely.
-  struct BlockCounters {
-    std::uint64_t considered = 0;
-    std::uint64_t skipped = 0;
-  };
-
   /// Walk rank `r`'s new intervals in [cursor_, to) and add each one's
-  /// clipped duration to the rank's matching active slots. Blocks fully
-  /// inside the tick consult the view's BlockIndex summaries: slots the
-  /// summary proves contribution-free drop out of the block's fan-out, and
-  /// a block provably empty for every slot is jumped over without touching
-  /// its intervals. Only exactly-zero contributions are elided, so slot
-  /// values stay bit-identical to the plain interval walk.
-  void process_rank(std::size_t r, double to, BlockCounters& counters);
+  /// clipped duration to the rank's matching active slots. An interval
+  /// that straddles `to` stays at the rank's position for the next advance.
+  void process_rank(std::size_t r, double to);
 
   void rebuild_rank_slots();
 
@@ -83,7 +71,6 @@ class MetricBatch {
   std::vector<Slot> slots_;
   std::vector<std::size_t> rank_pos_;          ///< shared per-rank cursor
   std::vector<std::vector<SlotId>> rank_slots_;  ///< active slots per rank
-  std::vector<SlotId> scratch_;                  ///< per-block sub-fan-out
   bool rank_slots_dirty_ = true;
   double cursor_ = 0.0;
   std::size_t num_active_ = 0;

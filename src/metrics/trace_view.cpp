@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "metrics/block_index.h"
 #include "metrics/metric_instance.h"
 #include "util/strings.h"
 
@@ -60,16 +59,6 @@ void FocusFilter::finalize() {
   if (!sync_unconstrained)
     for (std::size_t s = 0; s < sync_objects.size(); ++s)
       if (sync_objects[s]) selected_syncs.push_back(static_cast<std::int32_t>(s));
-
-  func_words.assign((funcs.size() + 1 + 63) / 64, 0);
-  for (std::size_t f = 0; f < funcs.size(); ++f)
-    if (funcs[f]) func_words[f / 64] |= std::uint64_t{1} << (f % 64);
-  if (accept_nofunc)
-    func_words[funcs.size() / 64] |= std::uint64_t{1} << (funcs.size() % 64);
-  sync_words.assign(sync_unconstrained ? 0 : (sync_objects.size() + 63) / 64, 0);
-  if (!sync_unconstrained)
-    for (std::size_t s = 0; s < sync_objects.size(); ++s)
-      if (sync_objects[s]) sync_words[s / 64] |= std::uint64_t{1} << (s % 64);
 }
 
 TraceView::TraceView(const ExecutionTrace& trace)
@@ -87,7 +76,6 @@ TraceView::TraceView(const ExecutionTrace& trace)
   for (const auto& s : trace.sync_objects) sync.add_path("/SyncObject/" + s);
 
   walk_intervals();
-  blocks_ = std::make_unique<BlockIndex>(trace_);
   // The db is complete from here on: the table's hierarchy snapshot and
   // the per-ResourceId discovery vectors stay valid for the view's life.
   foci_ = std::make_unique<resources::FocusTable>(db_);
@@ -100,8 +88,6 @@ TraceView::TraceView(const ExecutionTrace& trace)
       times[rid] = discovery_time(tree.node(static_cast<resources::ResourceId>(rid)).full_name);
   }
 }
-
-TraceView::~TraceView() = default;
 
 void TraceView::walk_intervals() {
   // Machine and process resources are known at startup.

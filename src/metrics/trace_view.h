@@ -1,9 +1,9 @@
 // TraceView: the bridge between a simulated execution and the diagnosis
 // layers. It derives the program's resource hierarchies from the trace,
 // compiles foci into fast per-interval filters (cached by interned focus
-// id), answers whole-run queries from per-rank totals, and holds the block
-// summaries MetricBatch skips with. Windowed values come from
-// MetricInstance (or MetricBatch), which see only data after their start.
+// id) and answers whole-run queries from per-rank totals. Windowed values
+// come from MetricInstance (or MetricBatch), which see only data after
+// their start.
 #pragma once
 
 #include <array>
@@ -21,8 +21,6 @@
 #include "simmpi/trace.h"
 
 namespace histpc::metrics {
-
-class BlockIndex;
 
 /// A Focus compiled against one trace: constant-time per-interval matching.
 struct FocusFilter {
@@ -45,14 +43,6 @@ struct FocusFilter {
   std::vector<std::int32_t> selected_funcs;  ///< accepted FuncIds when !all_funcs
   std::vector<std::int32_t> selected_syncs;  ///< accepted ids when !sync_unconstrained
 
-  /// Word-packed twins of the acceptance bitmaps for BlockIndex's summary
-  /// intersections: bit f of func_words mirrors funcs[f], and one
-  /// extra trailing bit (index funcs.size()) mirrors accept_nofunc — the
-  /// same slot layout BlockIndex uses for its per-block coverage words.
-  /// sync_words is empty while sync_unconstrained.
-  std::vector<std::uint64_t> func_words;
-  std::vector<std::uint64_t> sync_words;
-
   /// Why the filter selects nothing, when it does: one line per focus part
   /// that matched no function/rank/sync-object in this trace (directives
   /// mapped from another run may name resources this execution never
@@ -72,17 +62,13 @@ struct FocusFilter {
 
 class TraceView {
  public:
-  /// Builds resource hierarchies, discovery times, whole-run totals and
-  /// block summaries from the trace. The view keeps a reference to
-  /// `trace`; the trace must outlive the view.
+  /// Builds resource hierarchies, discovery times and whole-run totals
+  /// from the trace. The view keeps a reference to `trace`; the trace must
+  /// outlive the view.
   explicit TraceView(const simmpi::ExecutionTrace& trace);
-  ~TraceView();
 
   const simmpi::ExecutionTrace& trace() const { return trace_; }
   const resources::ResourceDb& resources() const { return db_; }
-  /// Per-block summaries (block_index.h): MetricBatch consults them to
-  /// skip blocks that provably contribute nothing.
-  const BlockIndex& blocks() const { return *blocks_; }
 
   /// The focus interner over this view's (immutable) resource db. Returned
   /// non-const from a const view: the table is internally synchronized and
@@ -171,7 +157,6 @@ class TraceView {
   /// discovery_ mirrored onto ResourceIds: [hierarchy][rid] (roots 0.0).
   std::vector<std::vector<double>> discovery_by_resource_;
   std::vector<RankTotals> totals_;
-  std::unique_ptr<BlockIndex> blocks_;
   /// Focus interner over db_. unique_ptr: the table is non-movable and
   /// snapshots hierarchy pointers, which stay valid if the view moves.
   std::unique_ptr<resources::FocusTable> foci_;

@@ -168,6 +168,9 @@ class PerformanceConsultant {
 
   /// Valid after run(); used for Figure 2 style rendering.
   const SearchHistoryGraph& shg() const { return shg_; }
+  /// Moves the graph out after run(), for a caller that keeps it past the
+  /// consultant's lifetime (the consultant is not usable afterwards).
+  SearchHistoryGraph take_shg() && { return std::move(shg_); }
   const instr::InstrumentationManager& instrumentation() const { return instr_; }
   const telemetry::Tracer& tracer() const { return tracer_; }
 

@@ -51,7 +51,8 @@ struct ShgNode {
 class SearchHistoryGraph {
  public:
   /// Nodes are keyed by (hypothesis, FocusId) in `foci`, which resolves
-  /// their names lazily. The table must outlive the graph.
+  /// their names lazily. The table must outlive the graph; the graph keeps
+  /// its own copy of `hyps`, so it can outlive the search that built it.
   SearchHistoryGraph(const HypothesisSet& hyps, const resources::FocusTable& foci);
 
   /// The virtual (TopLevelHypothesis : WholeProgram) root, id 0.
@@ -97,7 +98,7 @@ class SearchHistoryGraph {
            static_cast<std::uint32_t>(fid);
   }
 
-  const HypothesisSet& hyps_;
+  HypothesisSet hyps_;
   const resources::FocusTable& foci_;
   std::vector<ShgNode> nodes_;
   std::unordered_map<std::uint64_t, int> index_;

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include "cli/args.h"
 #include "cli/commands.h"
 #include "history/store.h"
+#include "scratch_dir.h"
 #include "telemetry/event.h"
 #include "telemetry/perf_record.h"
 #include "util/json.h"
@@ -57,15 +59,12 @@ TEST(Args, RejectsTrailingGarbageInNumbers) {
 
 class CliTest : public testing::Test {
  protected:
-  // Per-test store directory: ctest runs each case as its own process in
-  // parallel, so a shared path would let one constructor wipe another
-  // test's store mid-run.
+  // Per-test, per-process scratch directory; the store path inside it
+  // does not exist until a command creates it.
   CliTest()
-      : store_dir_(testing::TempDir() + "/histpc_cli_store_" +
-                   testing::UnitTest::GetInstance()->current_test_info()->name()) {
-    fs::remove_all(store_dir_);
-  }
-  ~CliTest() override { fs::remove_all(store_dir_); }
+      : scratch_(std::string("cli_") +
+                 testing::UnitTest::GetInstance()->current_test_info()->name()),
+        store_dir_(scratch_.file("store")) {}
 
   std::string run(const std::string& command, std::vector<std::string> tokens) {
     std::ostringstream out;
@@ -73,6 +72,7 @@ class CliTest : public testing::Test {
     return out.str();
   }
 
+  testing_support::ScratchDir scratch_;
   std::string store_dir_;
 };
 
@@ -246,6 +246,43 @@ TEST_F(CliTest, DotExportWritesFile) {
   ASSERT_TRUE(fs::exists(dot_file));
   const std::string dot = histpc::util::read_file(dot_file);
   EXPECT_NE(dot.find("digraph shg"), std::string::npos);
+}
+
+TEST_F(CliTest, DotExportNamesTheShgTextsPairs) {
+  // `--shg` and `--dot` render the same search: every (hypothesis : focus)
+  // pair the text lists is a DOT node, and the DOT has no other.
+  const std::string dot_file = scratch_.file("shg.dot");
+  const std::string out =
+      run("run", {"poisson_c", "--duration", "300", "--shg", "--dot", dot_file});
+
+  std::set<std::string> text_pairs;
+  const auto root = out.find("TopLevelHypothesis  [");
+  ASSERT_NE(root, std::string::npos);
+  std::istringstream text(out.substr(out.find('\n', root) + 1));
+  for (std::string line; std::getline(text, line) && !line.empty();) {
+    line.erase(0, line.find_first_not_of(' '));
+    text_pairs.insert(line.substr(0, line.find("  [")));
+  }
+
+  std::set<std::string> dot_pairs;
+  std::size_t dot_nodes = 0;
+  std::istringstream dot(histpc::util::read_file(dot_file));
+  for (std::string line; std::getline(dot, line);) {
+    const auto begin = line.find("[label=\"");
+    if (begin == std::string::npos) continue;
+    ++dot_nodes;
+    // label="<hypothesis>\n<focus>[\n<fraction> @<time>s]"; the root's is
+    // just "TopLevelHypothesis".
+    const std::string label = line.substr(begin + 8, line.find("\", fillcolor") - begin - 8);
+    const auto hyp_end = label.find("\\n");
+    if (hyp_end == std::string::npos) continue;
+    const auto focus_end = label.find("\\n", hyp_end + 2);
+    dot_pairs.insert(label.substr(0, hyp_end) + " : " +
+                     label.substr(hyp_end + 2, focus_end - (hyp_end + 2)));
+  }
+  EXPECT_GT(text_pairs.size(), 10u);
+  EXPECT_EQ(dot_pairs, text_pairs);
+  EXPECT_EQ(dot_nodes, dot_pairs.size() + 1);  // one node per pair, plus the root
 }
 
 TEST_F(CliTest, ErrorsSurfaceAsExceptions) {

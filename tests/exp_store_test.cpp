@@ -20,6 +20,7 @@
 #include "history/generator.h"
 #include "history/similarity.h"
 #include "history/store.h"
+#include "scratch_dir.h"
 #include "util/json.h"
 #include "util/log.h"
 
@@ -121,18 +122,19 @@ void expect_same_directives(const DirectiveSet& a, const DirectiveSet& b) {
 
 class ExpStoreTest : public testing::Test {
  protected:
+  // The store path lies inside a per-process scratch directory and does
+  // not exist until a test creates it.
   ExpStoreTest()
-      : dir_(testing::TempDir() + "/histpc_exp_store_test_" +
-             testing::UnitTest::GetInstance()->current_test_info()->name()) {
-    fs::remove_all(dir_);
-  }
-  ~ExpStoreTest() override { fs::remove_all(dir_); }
+      : scratch_(std::string("exp_store_") +
+                 testing::UnitTest::GetInstance()->current_test_info()->name()),
+        dir_(scratch_.file("store")) {}
 
   void write_file(const std::string& path, const std::string& bytes) {
     std::ofstream f(path, std::ios::binary);
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
+  testing_support::ScratchDir scratch_;
   std::string dir_;
 };
 

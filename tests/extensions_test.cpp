@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "apps/apps.h"
 #include "core/session.h"
@@ -13,6 +12,7 @@
 #include "history/postmortem.h"
 #include "metrics/trace_view.h"
 #include "pc/consultant.h"
+#include "scratch_dir.h"
 #include "simmpi/trace_io.h"
 
 namespace histpc {
@@ -160,13 +160,13 @@ TEST(TraceIo, FileRoundTripAndDiagnosis) {
   apps::AppParams p;
   p.target_duration = 200.0;
   const simmpi::ExecutionTrace trace = apps::run_app("bubba", p);
-  const std::string path = testing::TempDir() + "/histpc_trace.json";
+  const testing_support::ScratchDir scratch("trace_io");
+  const std::string path = scratch.file("trace.json");
   simmpi::save_trace(trace, path);
   simmpi::ExecutionTrace loaded = simmpi::load_trace(path);
   // A loaded trace is diagnosable like a fresh one.
   core::DiagnosisSession session(std::move(loaded));
   EXPECT_GT(session.diagnose().stats.bottlenecks, 0u);
-  std::filesystem::remove(path);
 }
 
 TEST(TraceIo, RejectsBadDocuments) {

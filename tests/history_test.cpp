@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "history/analysis.h"
 #include "history/combiner.h"
 #include "history/compare.h"
@@ -12,6 +10,7 @@
 #include "history/mapper.h"
 #include "history/report.h"
 #include "history/store.h"
+#include "scratch_dir.h"
 #include "util/log.h"
 
 namespace histpc::history {
@@ -85,15 +84,13 @@ TEST(Experiment, JsonRoundTrip) {
 
 class StoreTest : public testing::Test {
  protected:
-  // Per-test store directory: ctest runs each case as its own process in
-  // parallel, so a shared path would let one constructor wipe another
-  // test's store mid-run.
+  // The store path lies inside a per-process scratch directory and does
+  // not exist until the store creates it.
   StoreTest()
-      : dir_(testing::TempDir() + "/histpc_store_test_" +
-             testing::UnitTest::GetInstance()->current_test_info()->name()) {
-    std::filesystem::remove_all(dir_);
-  }
-  ~StoreTest() override { std::filesystem::remove_all(dir_); }
+      : scratch_(std::string("store_") +
+                 testing::UnitTest::GetInstance()->current_test_info()->name()),
+        dir_(scratch_.file("store")) {}
+  testing_support::ScratchDir scratch_;
   std::string dir_;
 };
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "core/session.h"
 #include "history/analysis.h"
@@ -12,6 +11,7 @@
 #include "history/generator.h"
 #include "history/mapper.h"
 #include "history/store.h"
+#include "scratch_dir.h"
 
 namespace histpc {
 namespace {
@@ -135,9 +135,8 @@ TEST(Integration, UnmappedCrossVersionDirectivesAreWeaker) {
 }
 
 TEST(Integration, StoreRoundTripPreservesDirectiveQuality) {
-  const std::string dir = testing::TempDir() + "/histpc_integration_store";
-  std::filesystem::remove_all(dir);
-  ExperimentStore store(dir);
+  const testing_support::ScratchDir scratch("integration_store");
+  ExperimentStore store(scratch.file("store"));
 
   core::DiagnosisSession s1("poisson_c", short_run());
   const DiagnosisResult base = s1.diagnose();
@@ -149,7 +148,6 @@ TEST(Integration, StoreRoundTripPreservesDirectiveQuality) {
   DirectiveSet from_disk = DirectiveGenerator().from_record(*loaded);
   DirectiveSet from_memory = DirectiveGenerator().from_record(s1.make_record(base, "C"));
   EXPECT_EQ(from_disk.serialize(), from_memory.serialize());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Integration, DirectiveTextFileDrivesDiagnosis) {
@@ -157,14 +155,14 @@ TEST(Integration, DirectiveTextFileDrivesDiagnosis) {
   core::DiagnosisSession s1("poisson_c", short_run());
   const DiagnosisResult base = s1.diagnose();
   DirectiveSet d = DirectiveGenerator().from_record(s1.make_record(base, "C"));
-  const std::string path = testing::TempDir() + "/histpc_cycle_directives.txt";
+  const testing_support::ScratchDir scratch("cycle_directives");
+  const std::string path = scratch.file("directives.txt");
   d.save(path);
   DirectiveSet loaded = DirectiveSet::load(path);
   EXPECT_EQ(loaded, d);
   core::DiagnosisSession s2("poisson_c", short_run());
   const DiagnosisResult directed = s2.diagnose(loaded);
   EXPECT_GT(directed.stats.bottlenecks, 0u);
-  std::filesystem::remove(path);
 }
 
 TEST(Integration, CombinedDirectivesFromTwoVersionsWork) {

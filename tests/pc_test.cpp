@@ -10,6 +10,7 @@
 #include "pc/directives.h"
 #include "pc/hypothesis.h"
 #include "pc/shg.h"
+#include "scratch_dir.h"
 #include "simmpi/program.h"
 #include "simmpi/simulator.h"
 #include "util/rng.h"
@@ -205,7 +206,8 @@ TEST(Directives, ApplyMappingsRewritesFociAndPrunes) {
 TEST(Directives, FileRoundTrip) {
   DirectiveSet d;
   d.prunes.push_back({"*", "/Machine"});
-  const std::string path = testing::TempDir() + "/histpc_directives.txt";
+  const testing_support::ScratchDir scratch("directives");
+  const std::string path = scratch.file("directives.txt");
   d.save(path);
   EXPECT_EQ(DirectiveSet::load(path), d);
 }

@@ -5,11 +5,11 @@
 // baseline window.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "telemetry/perf_diff.h"
 #include "telemetry/perf_record.h"
 #include "telemetry/registry.h"
@@ -18,15 +18,6 @@
 
 namespace histpc::telemetry {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("perf_record_test_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 /// A record with every field populated and a registry holding all four
 /// telemetry kinds (so the round trip covers histogram buckets too).
@@ -71,7 +62,8 @@ TEST(PerfRecord, RejectsNewerSchema) {
 }
 
 TEST(PerfLog, AppendReadAllAndLatest) {
-  const std::string dir = fresh_dir("append");
+  const testing_support::ScratchDir scratch("perf_record_append");
+  const std::string dir = scratch.str();
   PerfLog log(dir + "/log.jsonl");
   EXPECT_TRUE(log.read_all().empty());
   EXPECT_FALSE(log.latest().has_value());
@@ -100,7 +92,8 @@ TEST(PerfLog, AppendReadAllAndLatest) {
 }
 
 TEST(PerfLog, QuarantinesCorruptLines) {
-  const std::string dir = fresh_dir("quarantine");
+  const testing_support::ScratchDir scratch("perf_record_quarantine");
+  const std::string dir = scratch.str();
   PerfLog log(dir + "/log.jsonl");
   log.append(sample_record());
   log.append(sample_record());

@@ -8,13 +8,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/session.h"
 #include "pc/consultant.h"
+#include "scratch_dir.h"
 #include "serve/http.h"
 #include "serve/server.h"
 #include "serve/session_pool.h"
@@ -25,17 +25,8 @@
 namespace histpc::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr const char* kApp = "poisson_a";
 constexpr double kDuration = 1500.0;
-
-std::string temp_dir(const std::string& name) {
-  const fs::path path = fs::path(::testing::TempDir()) / ("serve_test_" + name);
-  fs::remove_all(path);
-  fs::create_directories(path);
-  return path.string();
-}
 
 ServeConfig test_config(const std::string& scratch) {
   ServeConfig cfg;
@@ -73,7 +64,8 @@ std::string oracle_result_dump() {
 // ------------------------------------------------------------ round trip
 
 TEST(ServeTest, DiagnoseRoundTripOverSocket) {
-  DiagnosisServer server(test_config(temp_dir("roundtrip")));
+  const testing_support::ScratchDir scratch("serve_roundtrip");
+  DiagnosisServer server(test_config(scratch.str()));
   server.start();
 
   const auto health = http_get("127.0.0.1", server.port(), "/healthz");
@@ -112,7 +104,8 @@ TEST(ServeTest, DiagnoseRoundTripOverSocket) {
 }
 
 TEST(ServeTest, ShutdownEndpointReleasesWait) {
-  DiagnosisServer server(test_config(temp_dir("shutdown")));
+  const testing_support::ScratchDir scratch("serve_shutdown");
+  DiagnosisServer server(test_config(scratch.str()));
   server.start();
   std::thread waiter([&] { server.wait(); });
   const auto resp = http_post("127.0.0.1", server.port(), "/shutdown", "");
@@ -125,7 +118,8 @@ TEST(ServeTest, ShutdownEndpointReleasesWait) {
 // ------------------------------------------------- malformed requests
 
 TEST(ServeTest, MalformedRequestsFailCleanAndServerStaysUp) {
-  ServeConfig cfg = test_config(temp_dir("malformed"));
+  const testing_support::ScratchDir scratch("serve_malformed");
+  ServeConfig cfg = test_config(scratch.str());
   cfg.max_body_bytes = 512;
   DiagnosisServer server(cfg);
   server.start();
@@ -170,7 +164,8 @@ TEST(ServeTest, MalformedRequestsFailCleanAndServerStaysUp) {
 // --------------------------------------------------- admission control
 
 TEST(ServeTest, FullQueueShedsWith429) {
-  ServeConfig cfg = test_config(temp_dir("shed"));
+  const testing_support::ScratchDir scratch("serve_shed");
+  ServeConfig cfg = test_config(scratch.str());
   cfg.threads = 1;
   cfg.queue_depth = 1;  // one request in flight is already "full"
   DiagnosisServer server(cfg);
@@ -207,7 +202,8 @@ TEST(ServeTest, ClientWaitingForEachReplyIsNeverShed) {
   // reply, so a client that sends its next request only on receipt finds
   // the queue empty every time, even at depth 1. 2000 requests: a slot
   // freed after the write sheds about one request in 2000 on a 4-core VM.
-  ServeConfig cfg = test_config(temp_dir("sequential"));
+  const testing_support::ScratchDir scratch("serve_sequential");
+  ServeConfig cfg = test_config(scratch.str());
   cfg.threads = 1;
   cfg.queue_depth = 1;
   DiagnosisServer server(cfg);
@@ -224,7 +220,8 @@ TEST(ServeTest, ClientWaitingForEachReplyIsNeverShed) {
 // ------------------------------------------------------------ deadlines
 
 TEST(ServeTest, DeadlineLimitedSearchReportsAndNeverCaches) {
-  DiagnosisServer server(test_config(temp_dir("deadline")));
+  const testing_support::ScratchDir scratch("serve_deadline");
+  DiagnosisServer server(test_config(scratch.str()));
   server.start();
 
   const std::string limited = diagnose_body("\"deadline_ms\": 0.5");
@@ -256,7 +253,8 @@ TEST(ServeTest, DeadlineLimitedSearchReportsAndNeverCaches) {
 // ---------------------------------------------------------- perf records
 
 TEST(ServeTest, EveryDiagnosisAppendsAServePerfRecord) {
-  ServeConfig cfg = test_config(temp_dir("perflog"));
+  const testing_support::ScratchDir scratch("serve_perflog");
+  ServeConfig cfg = test_config(scratch.str());
   cfg.perf_log = true;
   DiagnosisServer server(cfg);
   server.start();
@@ -296,7 +294,8 @@ TEST(ServeOracle, ConcurrentServedResultsMatchOneShotBitForBit) {
   const std::string oracle = oracle_result_dump();
 
   for (const int server_threads : {1, 2, 4}) {
-    ServeConfig cfg = test_config(temp_dir("oracle_t" + std::to_string(server_threads)));
+    const testing_support::ScratchDir scratch("serve_oracle_t" + std::to_string(server_threads));
+    ServeConfig cfg = test_config(scratch.str());
     cfg.threads = server_threads;
     DiagnosisServer server(cfg);
     server.start();

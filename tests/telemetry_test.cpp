@@ -3,13 +3,13 @@
 // integration contract between the Performance Consultant and its tracer.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "metrics/trace_view.h"
 #include "pc/consultant.h"
 #include "pc/directives.h"
+#include "scratch_dir.h"
 #include "simmpi/program.h"
 #include "simmpi/simulator.h"
 #include "telemetry/event.h"
@@ -109,13 +109,12 @@ TEST(TelemetryEvent, ChromeTraceHasDerivedTracks) {
 
 TEST(TelemetryEvent, SaveLoadAutodetectsBothFormats) {
   const std::vector<Event> events = sample_events();
-  const std::string dir = ::testing::TempDir();
+  const testing_support::ScratchDir scratch("telemetry_event");
   for (auto [fmt, name] : {std::pair{TraceFormat::Jsonl, "t.jsonl"},
                            std::pair{TraceFormat::Chrome, "t.chrome.json"}}) {
-    const std::string path = dir + "/" + name;
+    const std::string path = scratch.file(name);
     save_trace_file(path, events, fmt);
     EXPECT_EQ(load_trace_file(path), events) << name;
-    std::remove(path.c_str());
   }
 }
 
@@ -325,14 +324,21 @@ TEST(TelemetryRegistry, MergeIsOrderIndependent) {
 }
 
 TEST(TelemetryTracer, SinkRouting) {
+  const auto refine = [] {
+    Event e;
+    e.kind = EventKind::Refine;
+    e.t = 1.0;
+    return e;
+  };
+
   Tracer off;
   EXPECT_FALSE(off.tracing());
-  off.emit({EventKind::Refine, 1.0});  // must be a no-op, not a crash
+  off.emit(refine());  // must be a no-op, not a crash
 
   VectorSink sink;
   Tracer on(&sink);
   EXPECT_TRUE(on.tracing());
-  on.emit({EventKind::Refine, 1.0});
+  on.emit(refine());
   ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink.events()[0].kind, EventKind::Refine);
 }

@@ -17,6 +17,7 @@
 
 #include "apps/apps.h"
 #include "core/session.h"
+#include "scratch_dir.h"
 #include "simmpi/trace_cache.h"
 #include "simmpi/trace_io.h"
 #include "simmpi/trace_snapshot.h"
@@ -32,13 +33,6 @@ using simmpi::ExecutionTrace;
 using simmpi::IntervalState;
 using simmpi::TraceCache;
 using simmpi::TraceCacheConfig;
-
-std::string temp_dir(const std::string& name) {
-  const fs::path path = fs::path(::testing::TempDir()) / ("trace_snapshot_" + name);
-  fs::remove_all(path);
-  fs::create_directories(path);
-  return path.string();
-}
 
 /// Exact (==, not near) equality on every field; the binary format must
 /// round-trip doubles bit-for-bit, like the JSON writer's %.17g does.
@@ -243,7 +237,8 @@ TEST(TraceSnapshot, GoldenFixtureLocksOnDiskLayout) {
 
 TEST(TraceCacheTest, MissThenStoreThenHit) {
   telemetry::Registry reg;
-  const TraceCache cache({temp_dir("miss_store_hit"), 64 << 20}, &reg);
+  const testing_support::ScratchDir scratch("trace_snapshot_miss_store_hit");
+  const TraceCache cache({scratch.str(), 64 << 20}, &reg);
   const ExecutionTrace t = golden_trace();
   const simmpi::TraceKey key{42, 43};
 
@@ -424,7 +419,8 @@ TEST(TraceCacheTest, RecordingIntoTheKeyRunsTheRecorderChecks) {
 
 TEST(TraceCacheTest, QuarantinesCorruptSnapshotAndRecovers) {
   telemetry::Registry reg;
-  const std::string dir = temp_dir("quarantine");
+  const testing_support::ScratchDir scratch("trace_snapshot_quarantine");
+  const std::string dir = scratch.str();
   const TraceCache cache({dir, 64 << 20}, &reg);
   const simmpi::TraceKey key{7, 8};
   cache.store(key, golden_trace());
@@ -454,7 +450,8 @@ TEST(TraceCacheTest, QuarantinesCorruptSnapshotAndRecovers) {
 
 TEST(TraceCacheTest, KeyMismatchIsAMissNotAHit) {
   telemetry::Registry reg;
-  const std::string dir = temp_dir("key_mismatch");
+  const testing_support::ScratchDir scratch("trace_snapshot_key_mismatch");
+  const std::string dir = scratch.str();
   const TraceCache cache({dir, 64 << 20}, &reg);
   const ExecutionTrace t = golden_trace();
   cache.store({5, 500}, t);
@@ -489,7 +486,8 @@ TEST(TraceCacheTest, KeyMismatchIsAMissNotAHit) {
 
 TEST(TraceCacheTest, EvictsLeastRecentlyUsedPastByteCap) {
   telemetry::Registry reg;
-  const std::string dir = temp_dir("evict");
+  const testing_support::ScratchDir scratch("trace_snapshot_evict");
+  const std::string dir = scratch.str();
   const ExecutionTrace t = golden_trace();
   const std::uint64_t snapshot_bytes = simmpi::encode_trace_snapshot(t).size();
   // Room for two snapshots, not three.
@@ -514,7 +512,8 @@ TEST(TraceCacheTest, HitTouchKeepsHotEntryThroughEviction) {
   // True LRU, not FIFO: a load() must refresh the entry's recency, so a
   // hot old entry outlives a cold newer one when the cap forces eviction.
   telemetry::Registry reg;
-  const std::string dir = temp_dir("touch");
+  const testing_support::ScratchDir scratch("trace_snapshot_touch");
+  const std::string dir = scratch.str();
   const ExecutionTrace t = golden_trace();
   const std::uint64_t snapshot_bytes = simmpi::encode_trace_snapshot(t).size();
   const TraceCache cache({dir, snapshot_bytes * 5 / 2}, &reg);
@@ -562,7 +561,8 @@ TEST(TraceCacheSession, DiagnosisBitIdenticalAcrossSimulateAndCacheLoad) {
   apps::AppParams p;
   p.target_duration = 300.0;
   pc::PcConfig cached_cfg;
-  cached_cfg.trace_cache_dir = temp_dir("oracle");
+  const testing_support::ScratchDir scratch("trace_snapshot_oracle");
+  cached_cfg.trace_cache_dir = scratch.str();
 
   core::DiagnosisSession plain("poisson_c", p);              // no cache
   core::DiagnosisSession cold("poisson_c", p, cached_cfg);   // miss + store
@@ -604,7 +604,8 @@ TEST(TraceCacheSession, CorruptSnapshotFallsBackToSimulation) {
   apps::AppParams p;
   p.target_duration = 150.0;
   pc::PcConfig cfg;
-  cfg.trace_cache_dir = temp_dir("session_fallback");
+  const testing_support::ScratchDir scratch("trace_snapshot_session_fallback");
+  cfg.trace_cache_dir = scratch.str();
 
   core::DiagnosisSession cold("poisson_c", p, cfg);
   // Trash every snapshot in the cache directory.

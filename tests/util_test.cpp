@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "util/crc32c.h"
 #include "util/json.h"
 #include "util/log.h"
@@ -203,11 +203,11 @@ TEST(Json, IntegersSerializeWithoutExponent) {
 }
 
 TEST(Json, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/histpc_json_test.json";
+  const testing_support::ScratchDir scratch("json");
+  const std::string path = scratch.file("json_test.json");
   write_file(path, "{\"k\": 3}");
   Json j = Json::parse(read_file(path));
   EXPECT_EQ(j.at("k").as_int(), 3);
-  std::filesystem::remove(path);
 }
 
 TEST(Json, ReadMissingFileThrows) {
